@@ -51,16 +51,13 @@
 //! the `cachepred` module docs); the soundness gate inherits exactly that
 //! assumption and no other.
 
-use crate::affine::{classify_ref, RegKind, StaticClass};
-use crate::cachepred::{loop_trip_bound, CacheGeometry};
-use crate::cfg::{
-    analyze_program, innermost_loop_map, intra_successors, Cfg, FuncAnalysis, NaturalLoop,
-};
+use crate::affine::{classify_ref, StaticClass};
+use crate::cachepred::CacheGeometry;
+use crate::cfg::{intra_successors, NaturalLoop, Worklist};
 use crate::domain::{LineToken, MustState};
-use crate::loop_reg_kinds;
-use crate::value::{value_analysis, ValueAnalysis, ValueState};
+use crate::facts::ProgramFacts;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use umi_ir::{BlockId, Insn, MemRef, Pc, Program, Reg, Terminator, Width};
+use umi_ir::{BlockId, Insn, MemRef, Pc, Program, Terminator, Width};
 
 /// Statically proven cache behavior of one access site at one level.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -220,84 +217,27 @@ fn insn_sites(insn: &Insn) -> Vec<(MemRef, Width, bool, bool)> {
     v
 }
 
-/// Everything the per-loop passes share, plus memo tables for the
-/// whole-program facts (trip bounds, entry bounds, first-iteration
-/// constant states, access-site footprints).
-struct Analysis<'p> {
-    program: &'p Program,
-    cfg: Cfg,
-    funcs: Vec<FuncAnalysis>,
-    innermost: Vec<Option<(usize, usize)>>,
-    values: ValueAnalysis,
-    /// Function index owning each block (first claim in RPO order).
-    owner: Vec<Option<usize>>,
-    kinds: HashMap<(usize, usize), [RegKind; Reg::COUNT]>,
-    trips: HashMap<(usize, usize), Option<u64>>,
+/// The per-loop passes' view of the shared [`ProgramFacts`], plus memo
+/// tables for the whole-program facts only this pass needs (function
+/// entry bounds, access-site footprints).
+struct Analysis<'f, 'p> {
+    facts: &'f ProgramFacts<'p>,
     func_entries: HashMap<usize, Option<u64>>,
-    /// First-iteration constant states per loop (back edges cut, header
-    /// seeded from the virtual preheader).
-    peel_vals: HashMap<(usize, usize), BTreeMap<BlockId, Option<ValueState>>>,
     /// Byte footprint of every access site in global site order; `None`
     /// per entry = unknown footprint. Built lazily (AlwaysMiss only).
     ranges: Option<Vec<Option<(u64, u64)>>>,
 }
 
-impl<'p> Analysis<'p> {
-    fn new(program: &'p Program) -> Analysis<'p> {
-        let cfg = Cfg::build(program);
-        let funcs = analyze_program(program, &cfg);
-        let innermost = innermost_loop_map(program.blocks.len(), &funcs);
-        let values = value_analysis(program);
-        let mut owner = vec![None; program.blocks.len()];
-        for (fi, fa) in funcs.iter().enumerate() {
-            for &b in fa.doms.rpo() {
-                owner[b.index()].get_or_insert(fi);
-            }
-        }
-        Analysis {
-            program,
-            cfg,
-            funcs,
-            innermost,
-            values,
-            owner,
-            kinds: HashMap::new(),
-            trips: HashMap::new(),
-            func_entries: HashMap::new(),
-            peel_vals: HashMap::new(),
-            ranges: None,
-        }
-    }
-
-    fn kinds(&mut self, key: (usize, usize)) -> [RegKind; Reg::COUNT] {
-        if let Some(k) = self.kinds.get(&key) {
-            return *k;
-        }
-        let fa = &self.funcs[key.0];
-        let k = loop_reg_kinds(self.program, &fa.loops[key.1], &fa.doms);
-        self.kinds.insert(key, k);
-        k
-    }
-
-    fn trips(&mut self, key: (usize, usize)) -> Option<u64> {
-        if let Some(t) = self.trips.get(&key) {
-            return *t;
-        }
-        let kinds = self.kinds(key);
-        let fa = &self.funcs[key.0];
-        let t = loop_trip_bound(self.program, &fa.loops[key.1], &kinds);
-        self.trips.insert(key, t);
-        t
-    }
-
+impl<'f> Analysis<'f, '_> {
     /// Upper bound on executions of `block`: entries of its function
     /// times the trip bounds of every loop containing it.
     fn executions_bound(&mut self, block: BlockId, visiting: &mut Vec<usize>) -> Option<u64> {
-        let fi = self.owner[block.index()]?;
+        let facts = self.facts;
+        let fi = facts.owner[block.index()]?;
         let mut bound = self.func_entries_bound(fi, visiting)?;
-        for li in 0..self.funcs[fi].loops.len() {
-            if self.funcs[fi].loops[li].body.contains(&block) {
-                bound = bound.checked_mul(self.trips((fi, li))?)?;
+        for (li, lp) in facts.funcs[fi].loops.iter().enumerate() {
+            if lp.body.contains(&block) {
+                bound = bound.checked_mul(facts.trip_bound((fi, li))?)?;
             }
         }
         Some(bound)
@@ -313,17 +253,18 @@ impl<'p> Analysis<'p> {
         if visiting.contains(&fi) {
             return None;
         }
-        let result = if self.program.funcs[fi].id == self.program.entry {
+        let program = self.facts.program;
+        let result = if program.funcs[fi].id == program.entry {
             Some(1)
         } else {
             visiting.push(fi);
-            let target = self.program.funcs[fi].id;
+            let target = program.funcs[fi].id;
             let mut total: Option<u64> = Some(0);
-            for (bi, block) in self.program.blocks.iter().enumerate() {
+            for (bi, block) in program.blocks.iter().enumerate() {
                 let Terminator::Call { func, .. } = block.terminator else {
                     continue;
                 };
-                if func != target || !self.values.reached(BlockId(bi as u32)) {
+                if func != target || !self.facts.values().reached(BlockId(bi as u32)) {
                     continue;
                 }
                 total = match (total, self.executions_bound(BlockId(bi as u32), visiting)) {
@@ -342,15 +283,14 @@ impl<'p> Analysis<'p> {
     /// of its entry edges (header predecessors outside the body), plus
     /// the function-entry path when the header is the function's entry.
     fn loop_entries_bound(&mut self, key: (usize, usize)) -> Option<u64> {
-        let (fi, li) = key;
-        let header = self.funcs[fi].loops[li].header;
-        let body = self.funcs[fi].loops[li].body.clone();
+        let facts = self.facts;
+        let lp = facts.lp(key);
         let mut total: u64 = 0;
-        if self.program.funcs[fi].entry == header {
-            total = total.checked_add(self.func_entries_bound(fi, &mut Vec::new())?)?;
+        if facts.program.funcs[key.0].entry == lp.header {
+            total = total.checked_add(self.func_entries_bound(key.0, &mut Vec::new())?)?;
         }
-        for p in self.cfg.preds(header).to_vec() {
-            if body.contains(&p) || !self.values.reached(p) {
+        for &p in facts.cfg.preds(lp.header) {
+            if lp.body.contains(&p) || !facts.values().reached(p) {
                 continue;
             }
             total = total.checked_add(self.executions_bound(p, &mut Vec::new())?)?;
@@ -358,108 +298,20 @@ impl<'p> Analysis<'p> {
         Some(total)
     }
 
-    /// The constant state on the loop's entry edges (its virtual
-    /// preheader): the join over every non-latch path into the header —
-    /// a register is known here only if it is the same constant on
-    /// *every* entry, which is what lets first-iteration addresses stand
-    /// for all entries.
-    fn preheader_state(&self, key: (usize, usize)) -> ValueState {
-        let (fi, li) = key;
-        let lp = &self.funcs[fi].loops[li];
-        let mut ph: Option<ValueState> = None;
-        let join = |s: ValueState, ph: &mut Option<ValueState>| match ph {
-            None => *ph = Some(s),
-            Some(p) => {
-                p.join_from(&s);
-            }
-        };
-        if self.program.funcs[fi].entry == lp.header {
-            let seed = if self.program.funcs[fi].id == self.program.entry {
-                ValueState::vm_entry()
-            } else {
-                ValueState::top()
-            };
-            join(seed, &mut ph);
-        }
-        for &p in self.cfg.preds(lp.header) {
-            if lp.body.contains(&p) || !self.values.reached(p) {
-                continue;
-            }
-            if matches!(self.program.block(p).terminator, Terminator::Call { .. }) {
-                join(ValueState::top(), &mut ph);
-                continue;
-            }
-            let mut out = self.values.block_entry(p).clone();
-            for insn in &self.program.block(p).insns {
-                out.step(insn);
-            }
-            join(out, &mut ph);
-        }
-        ph.unwrap_or_else(ValueState::top)
-    }
-
-    /// First-iteration constant states: the value analysis over the loop
-    /// body with this loop's own back edges cut and the header seeded
-    /// from the virtual preheader. `Call` terminators inside the body
-    /// hand their resume block all-⊤, exactly like the global analysis.
-    fn peel_values(&mut self, key: (usize, usize)) -> &BTreeMap<BlockId, Option<ValueState>> {
-        if !self.peel_vals.contains_key(&key) {
-            let (fi, li) = key;
-            let lp = self.funcs[fi].loops[li].clone();
-            let seed = self.preheader_state(key);
-            let mut states: BTreeMap<BlockId, Option<ValueState>> =
-                lp.body.iter().map(|&b| (b, None)).collect();
-            states.insert(lp.header, Some(seed));
-            let mut work = vec![lp.header];
-            while let Some(b) = work.pop() {
-                let Some(mut out) = states[&b].clone() else {
-                    continue;
-                };
-                for insn in &self.program.block(b).insns {
-                    out.step(insn);
-                }
-                let term = &self.program.block(b).terminator;
-                if matches!(term, Terminator::Call { .. }) {
-                    out = ValueState::top();
-                }
-                for s in intra_successors(term) {
-                    if !lp.body.contains(&s) || (s == lp.header && lp.latches.contains(&b)) {
-                        continue;
-                    }
-                    let slot = states.get_mut(&s).expect("body block");
-                    let changed = match slot {
-                        None => {
-                            *slot = Some(out.clone());
-                            true
-                        }
-                        Some(cur) => cur.join_from(&out),
-                    };
-                    if changed && !work.contains(&s) {
-                        work.push(s);
-                    }
-                }
-            }
-            self.peel_vals.insert(key, states);
-        }
-        &self.peel_vals[&key]
-    }
-
     /// The byte interval `[lo, hi)` one access site can ever touch, over
     /// the program's whole run, or `None` when unknown. `Some((0, 0))`
     /// (empty) for sites that never execute.
-    fn site_range(&mut self, b: BlockId, insn_idx: usize, site_idx: usize) -> Option<(u64, u64)> {
-        if !self.values.reached(b) {
+    fn site_range(&self, b: BlockId, insn_idx: usize, site_idx: usize) -> Option<(u64, u64)> {
+        let facts = self.facts;
+        if !facts.values().reached(b) {
             return Some((0, 0));
         }
-        let (mem, width) = {
-            let insn = &self.program.block(b).insns[insn_idx];
-            let (m, w, _, _) = insn_sites(insn)[site_idx];
-            (m, w)
-        };
+        let insns = &facts.program.block(b).insns;
+        let (mem, width, _, _) = insn_sites(&insns[insn_idx])[site_idx];
         // Constant at the global fixpoint: the same address on every
         // execution.
-        let mut st = self.values.block_entry(b).clone();
-        for insn in &self.program.block(b).insns[..insn_idx] {
+        let mut st = facts.values().block_entry(b).clone();
+        for insn in &insns[..insn_idx] {
             st.step(insn);
         }
         if let Some(a) = st.eval_addr(&mem) {
@@ -468,14 +320,13 @@ impl<'p> Analysis<'p> {
         // Affine in the innermost loop with a known first-iteration
         // address (concrete across *all* entries, since the peel seed is
         // the join over every entry path) and a known trip bound.
-        let key = self.innermost[b.index()]?;
-        let kinds = self.kinds(key);
-        let StaticClass::ConstantStride(s) = classify_ref(&mem, &kinds) else {
+        let key = facts.innermost[b.index()]?;
+        let StaticClass::ConstantStride(s) = classify_ref(&mem, facts.kinds(key)) else {
             return None;
         };
-        let t = self.trips(key)?;
-        let mut st = self.peel_values(key).get(&b)?.clone()?;
-        for insn in &self.program.block(b).insns[..insn_idx] {
+        let t = facts.trip_bound(key)?;
+        let mut st = facts.peel_values(key).get(&b)?.clone()?;
+        for insn in &insns[..insn_idx] {
             st.step(insn);
         }
         let a0 = st.eval_addr(&mem)?;
@@ -488,13 +339,11 @@ impl<'p> Analysis<'p> {
     fn site_ranges(&mut self) -> &[Option<(u64, u64)>] {
         if self.ranges.is_none() {
             let mut out = Vec::new();
-            for bi in 0..self.program.blocks.len() {
+            for (bi, block) in self.facts.program.blocks.iter().enumerate() {
                 let b = BlockId(bi as u32);
-                for i in 0..self.program.block(b).insns.len() {
-                    let n = insn_sites(&self.program.block(b).insns[i]).len();
-                    for si in 0..n {
-                        let r = self.site_range(b, i, si);
-                        out.push(r);
+                for (i, insn) in block.insns.iter().enumerate() {
+                    for si in 0..insn_sites(insn).len() {
+                        out.push(self.site_range(b, i, si));
                     }
                 }
             }
@@ -543,31 +392,49 @@ pub fn absint_program(
     l1: &CacheGeometry,
     l2: &CacheGeometry,
 ) -> Vec<CacheBehavior> {
-    let mut az = Analysis::new(program);
+    ProgramFacts::new(program).absint(l1, l2)
+}
 
-    // One row per demand site, addressed by (block, insn index, site
-    // index) while the per-loop passes run.
+impl ProgramFacts<'_> {
+    /// [`absint_program`] over these facts.
+    pub fn absint(&self, l1: &CacheGeometry, l2: &CacheGeometry) -> Vec<CacheBehavior> {
+        absint(self, l1, l2)
+    }
+}
+
+fn absint(facts: &ProgramFacts<'_>, l1: &CacheGeometry, l2: &CacheGeometry) -> Vec<CacheBehavior> {
+    let program = facts.program;
+    let mut az = Analysis {
+        facts,
+        func_entries: HashMap::new(),
+        ranges: None,
+    };
+
+    // One row per demand site, in block, instruction and site order.
+    // The per-loop passes walk a block's sites in that same order from
+    // the block's first row and first global site ordinal (demand *and*
+    // prefetch: the index into the footprint table the AlwaysMiss proof
+    // checks against).
     let mut rows: Vec<CacheBehavior> = Vec::new();
-    let mut row_of: HashMap<(BlockId, usize, usize), usize> = HashMap::new();
-    // Global site ordinal (demand *and* prefetch), the index into the
-    // footprint table the AlwaysMiss proof checks against.
-    let mut ord_of: HashMap<(BlockId, usize, usize), usize> = HashMap::new();
+    let mut first_site: Vec<FirstSite> = Vec::with_capacity(program.blocks.len());
     let mut next_ord = 0usize;
     for block in &program.blocks {
-        for (i, (pc, insn)) in block.iter_with_pc().enumerate() {
-            for (si, (mem, _, is_store, demand)) in insn_sites(insn).into_iter().enumerate() {
-                ord_of.insert((block.id, i, si), next_ord);
+        first_site.push(FirstSite {
+            row: rows.len(),
+            ord: next_ord,
+        });
+        for (pc, insn) in block.iter_with_pc() {
+            for (mem, _, is_store, demand) in insn_sites(insn) {
                 next_ord += 1;
                 if !demand {
                     continue;
                 }
-                row_of.insert((block.id, i, si), rows.len());
                 rows.push(CacheBehavior {
                     pc,
                     block: block.id,
                     is_store,
                     filtered: mem.is_filtered(),
-                    in_loop: az.innermost[block.id.index()].is_some(),
+                    in_loop: facts.innermost[block.id.index()].is_some(),
                     l1: Verdict::Unclassified,
                     l2: Verdict::Unclassified,
                     entries_bound: None,
@@ -579,10 +446,11 @@ pub fn absint_program(
     }
 
     // Innermost loops owning at least one site, calls excluded.
-    let loops: BTreeSet<(usize, usize)> = az.innermost.iter().flatten().copied().collect();
+    let loops: BTreeSet<(usize, usize)> = facts.innermost.iter().flatten().copied().collect();
     let mut call_loops: BTreeSet<(usize, usize)> = BTreeSet::new();
     for key in loops {
-        let has_call = az.funcs[key.0].loops[key.1]
+        let has_call = facts
+            .lp(key)
             .body
             .iter()
             .any(|&b| matches!(program.block(b).terminator, Terminator::Call { .. }));
@@ -590,7 +458,7 @@ pub fn absint_program(
             call_loops.insert(key);
             continue;
         }
-        analyze_loop(&mut az, key, l1, l2, &row_of, &ord_of, &mut rows);
+        analyze_loop(&mut az, key, l1, l2, &first_site, &mut rows);
     }
 
     // Attribute every remaining coverage gap: a site no verdict walk
@@ -600,7 +468,7 @@ pub fn absint_program(
         if r.l1 == Verdict::Unclassified && r.reason.is_none() {
             r.reason = Some(if !r.in_loop {
                 UnclassifiedReason::NotInLoop
-            } else if az.innermost[r.block.index()].is_some_and(|k| call_loops.contains(&k)) {
+            } else if facts.innermost[r.block.index()].is_some_and(|k| call_loops.contains(&k)) {
                 UnclassifiedReason::CallInLoop
             } else {
                 UnclassifiedReason::JoinLoss
@@ -612,32 +480,41 @@ pub fn absint_program(
     rows
 }
 
+/// Where one block's sites start: its first demand row and its first
+/// global site ordinal.
+#[derive(Clone, Copy)]
+struct FirstSite {
+    row: usize,
+    ord: usize,
+}
+
 /// Builds each body block's site plan, runs the peel and steady must
 /// passes, and assigns verdicts to the loop's own (innermost) sites.
 fn analyze_loop(
-    az: &mut Analysis<'_>,
+    az: &mut Analysis<'_, '_>,
     key: (usize, usize),
     l1: &CacheGeometry,
     l2: &CacheGeometry,
-    row_of: &HashMap<(BlockId, usize, usize), usize>,
-    ord_of: &HashMap<(BlockId, usize, usize), usize>,
+    first_site: &[FirstSite],
     rows: &mut [CacheBehavior],
 ) {
-    let kinds = az.kinds(key);
-    let trips = az.trips(key);
+    let facts = az.facts;
+    let kinds = facts.kinds(key);
+    let trips = facts.trip_bound(key);
     let entries = az.loop_entries_bound(key);
-    let (fi, li) = key;
-    let lp = az.funcs[fi].loops[li].clone();
+    let lp = facts.lp(key);
 
     // Per-block site plans: token and transfer per access, in order.
     // Addresses use the PRE-instruction state (a push stores below the
     // incoming esp; a pop loads at it).
     let mut plans: BTreeMap<BlockId, Vec<(Site, usize)>> = BTreeMap::new();
     for &b in &lp.body {
-        let mut st = az.values.block_entry(b).clone();
+        let mut st = facts.values().block_entry(b).clone();
         let mut sites = Vec::new();
-        for (i, (pc, insn)) in az.program.block(b).iter_with_pc().enumerate() {
-            for (si, (mem, _w, is_store, demand)) in insn_sites(insn).into_iter().enumerate() {
+        let own = facts.innermost[b.index()] == Some(key);
+        let FirstSite { mut row, mut ord } = first_site[b.index()];
+        for (pc, insn) in facts.program.block(b).iter_with_pc() {
+            for (mem, _w, is_store, demand) in insn_sites(insn) {
                 // Prefetch sites age the state but never insert: the
                 // auditing simulators ignore hints outright, so a line
                 // only a hint keeps abstractly young can be cold in every
@@ -647,7 +524,7 @@ fn analyze_loop(
                 } else if let Some(addr) = st.eval_addr(&mem) {
                     Transfer::Refresh(LineToken::Line(addr / l1.line_size))
                 } else {
-                    match classify_ref(&mem, &kinds) {
+                    match classify_ref(&mem, kinds) {
                         StaticClass::LoopInvariant => Transfer::Refresh(LineToken::Expr {
                             base: mem.base,
                             index: mem.index,
@@ -659,18 +536,18 @@ fn analyze_loop(
                         _ => Transfer::Unknown,
                     }
                 };
-                let row =
-                    (demand && az.innermost[b.index()] == Some(key)).then(|| row_of[&(b, i, si)]);
                 sites.push((
                     Site {
                         pc,
                         demand,
                         mem,
                         transfer,
-                        row,
+                        row: (demand && own).then_some(row),
                     },
-                    ord_of[&(b, i, si)],
+                    ord,
                 ));
+                ord += 1;
+                row += usize::from(demand);
             }
             st.step(insn);
         }
@@ -679,8 +556,8 @@ fn analyze_loop(
 
     // Peel pass: back edges cut, empty must-state at the header.
     let peel = loop_fixpoint(
-        az.program,
-        &lp,
+        facts.program,
+        lp,
         &plans,
         true,
         MustState::empty(l1.ways, l1.sets),
@@ -696,8 +573,8 @@ fn analyze_loop(
         }
     }
     let steady = loop_fixpoint(
-        az.program,
-        &lp,
+        facts.program,
+        lp,
         &plans,
         false,
         seed.unwrap_or_else(|| MustState::empty(l1.ways, l1.sets)),
@@ -736,7 +613,7 @@ fn analyze_loop(
 /// stays `Unclassified`.
 #[allow(clippy::too_many_arguments)]
 fn site_verdict(
-    az: &mut Analysis<'_>,
+    az: &mut Analysis<'_, '_>,
     key: (usize, usize),
     site: &Site,
     ord: usize,
@@ -755,8 +632,7 @@ fn site_verdict(
             // per entry are bounded by the distinct lines it crosses:
             // span/line, +1 for the interval endpoints, +1 because the
             // residency check sits before the transfer, not after.
-            let kinds = az.kinds(key);
-            let lines = match (classify_ref(&site.mem, &kinds), trips) {
+            let lines = match (classify_ref(&site.mem, az.facts.kinds(key)), trips) {
                 (StaticClass::ConstantStride(s), Some(t)) => {
                     Some(s.unsigned_abs().saturating_mul(t) / l1.line_size + 2)
                 }
@@ -766,8 +642,8 @@ fn site_verdict(
         }
         Transfer::Refresh(_) | Transfer::Rolling(_) => unclassified(UnclassifiedReason::JoinLoss),
         Transfer::Unknown if site.demand => {
-            let kinds = az.kinds(key);
-            let StaticClass::ConstantStride(s) = classify_ref(&site.mem, &kinds) else {
+            let StaticClass::ConstantStride(s) = classify_ref(&site.mem, az.facts.kinds(key))
+            else {
                 return unclassified(UnclassifiedReason::IrregularAddress);
             };
             // Freshness needs strictly monotone line numbers at both
@@ -783,7 +659,7 @@ fn site_verdict(
             let Some(t) = trips else {
                 return unclassified(UnclassifiedReason::NoTripBound);
             };
-            let Some(a0) = first_iteration_addr(az, key, block, site) else {
+            let Some(a0) = first_iteration_addr(az.facts, key, block, site) else {
                 return unclassified(UnclassifiedReason::SymbolicSetBlind);
             };
             let Some(sweep) = sweep_range(a0, s, t, 8) else {
@@ -817,13 +693,13 @@ fn site_verdict(
 /// loop `key` (the peel seed joins every entry path, so a constant here
 /// holds for all of them).
 fn first_iteration_addr(
-    az: &mut Analysis<'_>,
+    facts: &ProgramFacts<'_>,
     key: (usize, usize),
     block: BlockId,
     site: &Site,
 ) -> Option<u64> {
-    let mut st = az.peel_values(key).get(&block)?.clone()?;
-    for (pc, insn) in az.program.block(block).iter_with_pc() {
+    let mut st = facts.peel_values(key).get(&block)?.clone()?;
+    for (pc, insn) in facts.program.block(block).iter_with_pc() {
         if pc == site.pc {
             break;
         }
@@ -863,13 +739,13 @@ fn loop_fixpoint(
     let mut in_states: BTreeMap<BlockId, Option<MustState>> =
         lp.body.iter().map(|&b| (b, None)).collect();
     in_states.insert(lp.header, Some(header_init));
-    let mut work: Vec<BlockId> = vec![lp.header];
+    let mut work = Worklist::new(program.blocks.len(), lp.header);
     while let Some(b) = work.pop() {
         let Some(out) = walk_out(in_states.get(&b), &plans[&b]) else {
             continue;
         };
         for s in intra_successors(&program.block(b).terminator) {
-            if !lp.body.contains(&s) || (cut && s == lp.header && lp.latches.contains(&b)) {
+            if !lp.body.contains(&s) || (cut && s == lp.header && lp.is_latch(b)) {
                 continue;
             }
             let slot = in_states.get_mut(&s).expect("body block");
@@ -882,9 +758,7 @@ fn loop_fixpoint(
             };
             if let Some(j) = joined {
                 *slot = Some(j);
-                if !work.contains(&s) {
-                    work.push(s);
-                }
+                work.push(s);
             }
         }
     }
@@ -894,7 +768,7 @@ fn loop_fixpoint(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use umi_ir::{ProgramBuilder, Width};
+    use umi_ir::{ProgramBuilder, Reg, Width};
 
     const P4_L1: CacheGeometry = CacheGeometry {
         sets: 32,

@@ -20,7 +20,8 @@
 //! makes the op **irregular** — statically unknowable, the class UMI's
 //! dynamic profiles exist to resolve.
 
-use crate::cfg::{analyze_program, innermost_loop_map, Cfg, Dominators, NaturalLoop};
+use crate::cfg::{Dominators, NaturalLoop};
+use crate::facts::ProgramFacts;
 use crate::liveness::{insn_defs, regs_in};
 use std::collections::HashMap;
 use umi_ir::{BinOp, BlockId, Insn, MemRef, Operand, Pc, Program, Reg, Width};
@@ -121,9 +122,10 @@ pub fn loop_reg_kinds(
     let mut written = [false; Reg::COUNT];
     let mut delta: [Option<i64>; Reg::COUNT] = [Some(0); Reg::COUNT];
     let nested = nested_blocks(program, lp, doms);
+    let latch_dom = doms.common_dominator(&lp.latches);
     for &bid in &lp.body {
         let every_iteration =
-            !nested.contains(&bid) && lp.latches.iter().all(|&l| doms.dominates(bid, l));
+            !nested.contains(&bid) && latch_dom.is_some_and(|d| doms.dominates(bid, d));
         for insn in &program.block(bid).insns {
             let affine = match insn {
                 Insn::Binary {
@@ -189,21 +191,14 @@ pub(crate) fn classify_ref(mem: &MemRef, kinds: &[RegKind; Reg::COUNT]) -> Stati
 /// Classifies every memory reference of `program`, in pc order (loads
 /// before stores within one instruction, matching the access stream).
 pub fn classify_program(program: &Program) -> Vec<StaticRef> {
-    let cfg = Cfg::build(program);
-    let funcs = analyze_program(program, &cfg);
+    classify(&ProgramFacts::new(program))
+}
 
-    // Innermost loop per block: the smallest containing body.
-    let innermost = innermost_loop_map(program.blocks.len(), &funcs);
-
-    let mut kinds: HashMap<(usize, usize), [RegKind; Reg::COUNT]> = HashMap::new();
+/// [`classify_program`] over prebuilt facts (see [`ProgramFacts::refs`]).
+pub(crate) fn classify(facts: &ProgramFacts<'_>) -> Vec<StaticRef> {
     let mut out = Vec::new();
-    for block in &program.blocks {
-        let loop_kinds = innermost[block.id.index()].map(|key| {
-            *kinds.entry(key).or_insert_with(|| {
-                let fa = &funcs[key.0];
-                loop_reg_kinds(program, &fa.loops[key.1], &fa.doms)
-            })
-        });
+    for block in &facts.program.blocks {
+        let loop_kinds = facts.innermost[block.id.index()].map(|key| facts.kinds(key));
         for (pc, insn) in block.iter_with_pc() {
             let refs = insn
                 .loads()
@@ -211,7 +206,7 @@ pub fn classify_program(program: &Program) -> Vec<StaticRef> {
                 .map(|(m, w)| (m, w, false))
                 .chain(insn.stores().into_iter().map(|(m, w)| (m, w, true)));
             for (mem, width, is_store) in refs {
-                let class = match &loop_kinds {
+                let class = match loop_kinds {
                     None => StaticClass::NotInLoop,
                     Some(k) => classify_ref(&mem, k),
                 };

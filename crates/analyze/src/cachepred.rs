@@ -4,8 +4,8 @@
 //! This is the static half of the paper's central comparison. UMI's
 //! dynamic mini-simulator labels loads delinquent by *measuring* miss
 //! ratios; this module predicts the same labels by *reasoning* about the
-//! affine classification ([`classify_program`]) against a concrete cache
-//! geometry:
+//! affine classification ([`classify_program`](crate::classify_program))
+//! against a concrete cache geometry:
 //!
 //! * every memory op gets a symbolic **footprint** — for a constant-stride
 //!   op, `|stride| × trip-count bound`; loop-invariant ops touch one line;
@@ -37,8 +37,9 @@
 //! sub-floor ops — the class of behavior the paper argues only runtime
 //! introspection can resolve.
 
-use crate::affine::{classify_program, loop_reg_kinds, RegKind, StaticClass, StaticRef};
-use crate::cfg::{analyze_program, innermost_loop_map, Cfg, NaturalLoop};
+use crate::affine::{RegKind, StaticClass, StaticRef};
+use crate::cfg::NaturalLoop;
+use crate::facts::ProgramFacts;
 use umi_ir::{Insn, Operand, Program, Reg, Terminator};
 
 /// The cache geometry predictions are scored against — the shared
@@ -99,7 +100,7 @@ pub fn loop_trip_bound(
 ) -> Option<u64> {
     let mut best: Option<u64> = None;
     for &bid in &lp.body {
-        if bid != lp.header && !lp.latches.contains(&bid) {
+        if bid != lp.header && !lp.is_latch(bid) {
             continue;
         }
         let block = program.block(bid);
@@ -178,55 +179,45 @@ fn predict_ref(
 /// whose per-iteration miss rate stays below it is predicted cold even
 /// when its footprint overflows the cache.
 ///
-/// Output order matches [`classify_program`]: by `(pc, is_store)`.
+/// Output order matches [`classify_program`](crate::classify_program):
+/// by `(pc, is_store)`.
 pub fn predict_program(
     program: &Program,
     geom: &CacheGeometry,
     hot_miss_floor: f64,
 ) -> Vec<CachePrediction> {
-    let cfg = Cfg::build(program);
-    let funcs = analyze_program(program, &cfg);
-    let innermost = innermost_loop_map(program.blocks.len(), &funcs);
+    ProgramFacts::new(program).predict(geom, hot_miss_floor)
+}
 
-    // Trip bound per loop, computed lazily per distinct (func, loop).
-    let mut trips: std::collections::HashMap<(usize, usize), Option<u64>> =
-        std::collections::HashMap::new();
-    classify_program(program)
-        .into_iter()
-        .map(|sref| {
-            let loop_trips = innermost[sref.block.index()].and_then(|key| {
-                *trips.entry(key).or_insert_with(|| {
-                    let fa = &funcs[key.0];
-                    let lp = &fa.loops[key.1];
-                    let kinds = loop_reg_kinds(program, lp, &fa.doms);
-                    loop_trip_bound(program, lp, &kinds)
-                })
-            });
-            // The op runs once per iteration iff its block dominates
-            // every latch of its innermost loop (being innermost, no
-            // nested loop can multiply its executions).
-            let every_iteration = innermost[sref.block.index()].is_none_or(|(f, l)| {
-                let fa = &funcs[f];
-                fa.loops[l]
-                    .latches
-                    .iter()
-                    .all(|&lat| fa.doms.dominates(sref.block, lat))
-            });
-            let (footprint, verdict) = predict_ref(
-                sref.class,
-                loop_trips,
-                every_iteration,
-                geom,
-                hot_miss_floor,
-            );
-            CachePrediction {
-                sref,
-                trips: loop_trips,
-                footprint,
-                verdict,
-            }
-        })
-        .collect()
+impl ProgramFacts<'_> {
+    /// [`predict_program`] over these facts.
+    pub fn predict(&self, geom: &CacheGeometry, hot_miss_floor: f64) -> Vec<CachePrediction> {
+        self.refs()
+            .iter()
+            .map(|&sref| {
+                let innermost = self.innermost[sref.block.index()];
+                let loop_trips = innermost.and_then(|key| self.trip_bound(key));
+                // The op runs once per iteration iff its block dominates
+                // every latch of its innermost loop (being innermost, no
+                // nested loop can multiply its executions).
+                let every_iteration =
+                    innermost.is_none_or(|key| self.dominates_latches(key, sref.block));
+                let (footprint, verdict) = predict_ref(
+                    sref.class,
+                    loop_trips,
+                    every_iteration,
+                    geom,
+                    hot_miss_floor,
+                );
+                CachePrediction {
+                    sref,
+                    trips: loop_trips,
+                    footprint,
+                    verdict,
+                }
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]

@@ -193,6 +193,21 @@ impl Dominators {
         self.idom[b.index()].map(BlockId)
     }
 
+    /// The nearest common dominator of `blocks`: a block dominates every
+    /// member exactly when it dominates this one. `None` when `blocks` is
+    /// empty or holds a block unreachable from the entry (which nothing
+    /// dominates).
+    pub(crate) fn common_dominator(&self, blocks: &[BlockId]) -> Option<BlockId> {
+        let (&first, rest) = blocks.split_first()?;
+        if !blocks.iter().all(|&b| self.is_reachable(b)) {
+            return None;
+        }
+        let d = rest.iter().fold(first.index(), |a, b| {
+            intersect(&self.idom, &self.order, a, b.index())
+        });
+        Some(BlockId(d as u32))
+    }
+
     /// Whether `a` dominates `b` (reflexively). Unreachable blocks
     /// dominate nothing and are dominated by nothing.
     pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
@@ -218,10 +233,53 @@ impl Dominators {
 pub struct NaturalLoop {
     /// The single entry block of the loop (target of its back edges).
     pub header: BlockId,
-    /// Sources of the back edges, in index order.
+    /// Sources of the back edges (at least one), sorted by block index
+    /// and free of duplicates (see [`NaturalLoop::is_latch`]).
     pub latches: Vec<BlockId>,
     /// Every block in the loop, including the header.
     pub body: BTreeSet<BlockId>,
+}
+
+impl NaturalLoop {
+    /// Whether `b` is the source of one of this loop's back edges: a
+    /// binary search over the sorted [`NaturalLoop::latches`].
+    pub fn is_latch(&self, b: BlockId) -> bool {
+        self.latches.binary_search(&b).is_ok()
+    }
+}
+
+/// A LIFO worklist of blocks that holds each block at most once: a
+/// queued bit per block index replaces a scan of the stack, so a
+/// fixpoint over `n` blocks pays O(1) per push, not O(n).
+pub(crate) struct Worklist {
+    stack: Vec<BlockId>,
+    queued: Vec<bool>,
+}
+
+impl Worklist {
+    /// A worklist over a program of `n_blocks` blocks holding `first`.
+    pub(crate) fn new(n_blocks: usize, first: BlockId) -> Worklist {
+        let mut w = Worklist {
+            stack: Vec::new(),
+            queued: vec![false; n_blocks],
+        };
+        w.push(first);
+        w
+    }
+
+    /// Queues `b` unless it is already queued.
+    pub(crate) fn push(&mut self, b: BlockId) {
+        if !std::mem::replace(&mut self.queued[b.index()], true) {
+            self.stack.push(b);
+        }
+    }
+
+    /// Takes the most recently queued block.
+    pub(crate) fn pop(&mut self) -> Option<BlockId> {
+        let b = self.stack.pop()?;
+        self.queued[b.index()] = false;
+        Some(b)
+    }
 }
 
 /// Finds all natural loops of the function rooted at `doms.entry()`.
@@ -255,7 +313,13 @@ pub fn natural_loops(cfg: &Cfg, doms: &Dominators) -> Vec<NaturalLoop> {
             }
         }
     }
-    by_header.into_values().collect()
+    let loops: Vec<NaturalLoop> = by_header.into_values().collect();
+    // Sources are visited in index order and successor lists are
+    // deduplicated, so each loop's latches come out sorted and unique.
+    debug_assert!(loops
+        .iter()
+        .all(|lp| lp.latches.windows(2).all(|w| w[0] < w[1])));
+    loops
 }
 
 /// Maps every block to its innermost containing loop, identified as
@@ -352,6 +416,53 @@ mod tests {
         assert_eq!(lp.header, head);
         assert_eq!(lp.latches, vec![body]);
         assert_eq!(lp.body, BTreeSet::from([head, body]));
+    }
+
+    #[test]
+    fn latches_are_sorted_and_answered_by_binary_search() {
+        // head -> a | b; a -> head | c; b -> head; c -> head | exit:
+        // three back edges into one header, found in index order.
+        let mut pb = ProgramBuilder::new();
+        let f = pb.begin_func("main");
+        let head = pb.new_block();
+        let a = pb.new_block();
+        let b = pb.new_block();
+        let c = pb.new_block();
+        let exit = pb.new_block();
+        pb.block(f.entry()).movi(Reg::ECX, 0).jmp(head);
+        pb.block(head).cmpi(Reg::ECX, 3).br_lt(a, b);
+        pb.block(a).cmpi(Reg::ECX, 1).br_eq(head, c);
+        pb.block(b).jmp(head);
+        pb.block(c).cmpi(Reg::ECX, 2).br_lt(head, exit);
+        pb.block(exit).ret();
+        let p = pb.finish();
+        let cfg = Cfg::build(&p);
+        let doms = Dominators::compute(&cfg, f.entry());
+        let loops = natural_loops(&cfg, &doms);
+        assert_eq!(loops.len(), 1);
+        let lp = &loops[0];
+        assert_eq!(lp.latches, vec![a, b, c]);
+        for blk in cfg.block_ids() {
+            assert_eq!(lp.is_latch(blk), lp.latches.contains(&blk), "{blk}");
+        }
+        assert_eq!(doms.common_dominator(&lp.latches), Some(head));
+        assert_eq!(doms.common_dominator(&[c]), Some(c));
+        assert_eq!(doms.common_dominator(&[]), None);
+    }
+
+    #[test]
+    fn worklist_is_lifo_and_holds_each_block_once() {
+        let mut w = Worklist::new(8, BlockId(0));
+        w.push(BlockId(3));
+        w.push(BlockId(0)); // already queued: no-op
+        w.push(BlockId(5));
+        w.push(BlockId(3)); // already queued: no-op
+        assert_eq!(w.pop(), Some(BlockId(5)));
+        w.push(BlockId(5)); // popped blocks may be queued again
+        assert_eq!(w.pop(), Some(BlockId(5)));
+        assert_eq!(w.pop(), Some(BlockId(3)));
+        assert_eq!(w.pop(), Some(BlockId(0)));
+        assert_eq!(w.pop(), None);
     }
 
     #[test]

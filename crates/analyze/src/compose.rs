@@ -37,10 +37,10 @@
 //! [`FullSimulator`]: https://docs.rs/umi-cache
 //! [`predict_program`]: crate::predict_program
 
-use crate::absint::{absint_program, CacheBehavior, Verdict};
-use crate::cachepred::{predict_program, CacheGeometry, Delinquency};
-use crate::trips::{trip_analysis, ExecBound};
-use std::collections::BTreeMap;
+use crate::absint::{CacheBehavior, Verdict};
+use crate::cachepred::{CacheGeometry, Delinquency};
+use crate::facts::ProgramFacts;
+use crate::trips::{analyze_trips, ExecBound};
 use umi_ir::{Pc, Program};
 
 /// A closed interval on a miss count: `hi == None` means unbounded.
@@ -264,16 +264,44 @@ pub fn compose_program(
     l2: &CacheGeometry,
     hot_miss_floor: f64,
 ) -> StaticReport {
-    let rows = absint_program(program, l1, l2);
-    let trips = trip_analysis(program);
+    ProgramFacts::new(program).compose(l1, l2, hot_miss_floor)
+}
 
+/// The maximal runs of `items` (already sorted by `key`) sharing one key.
+fn runs<T, K: PartialEq>(items: &[T], key: impl Fn(&T) -> K) -> impl Iterator<Item = &[T]> {
+    items.chunk_by(move |a, b| key(a) == key(b))
+}
+
+impl ProgramFacts<'_> {
+    /// [`compose_program`] over these facts.
+    pub fn compose(
+        &self,
+        l1: &CacheGeometry,
+        l2: &CacheGeometry,
+        hot_miss_floor: f64,
+    ) -> StaticReport {
+        compose(self, l1, l2, hot_miss_floor)
+    }
+}
+
+fn compose(
+    facts: &ProgramFacts<'_>,
+    l1: &CacheGeometry,
+    l2: &CacheGeometry,
+    hot_miss_floor: f64,
+) -> StaticReport {
+    let rows = facts.absint(l1, l2);
+    let trips = analyze_trips(facts);
+
+    // Rows, and predictions below, are dropped as soon as they are
+    // folded in: on a 60k-site program each is megabytes of peak memory.
     let mut sites: Vec<SiteMissBound> = rows
-        .iter()
+        .into_iter()
         .map(|r| {
             let accesses = trips.exec(r.block);
-            let (l1m, mem) = site_intervals(r, accesses);
+            let (l1m, mem) = site_intervals(&r, accesses);
             SiteMissBound {
-                behavior: *r,
+                behavior: r,
                 accesses,
                 l1: l1m,
                 mem,
@@ -282,16 +310,10 @@ pub fn compose_program(
         .collect();
     sites.sort_by_key(|s| (s.behavior.pc, s.behavior.is_store, s.behavior.block));
 
-    // Group by (pc, kind) — the per-PC tables' attribution unit.
-    let mut groups: BTreeMap<(Pc, bool), Vec<&SiteMissBound>> = BTreeMap::new();
-    for s in &sites {
-        groups
-            .entry((s.behavior.pc, s.behavior.is_store))
-            .or_default()
-            .push(s);
-    }
-    let mut per_pc = Vec::with_capacity(groups.len());
-    for ((pc, is_store), members) in &groups {
+    // Group by (pc, kind) — the per-PC tables' attribution unit: runs
+    // of the sorted sites.
+    let mut per_pc = Vec::new();
+    for members in runs(&sites, |s| (s.behavior.pc, s.behavior.is_store)) {
         let mut accesses = ExecBound {
             min: 0,
             max: Some(0),
@@ -307,8 +329,8 @@ pub fn compose_program(
             mem = mem.plus(s.mem);
         }
         per_pc.push(PcMissBound {
-            pc: *pc,
-            is_store: *is_store,
+            pc: members[0].behavior.pc,
+            is_store: members[0].behavior.is_store,
             sites: members.len(),
             accesses,
             l1: l1m,
@@ -336,27 +358,28 @@ pub fn compose_program(
     let mem_ratio = ratio_bounds(mem_total, accesses);
 
     // Delinquency: the proof decides where its ratio interval clears or
-    // stays under the floor; the heuristic fills the rest.
-    let heuristics: BTreeMap<(Pc, bool), Delinquency> = {
-        let mut by_group: BTreeMap<(Pc, bool), Vec<Delinquency>> = BTreeMap::new();
-        for p in predict_program(program, l1, hot_miss_floor) {
-            by_group
-                .entry((p.sref.pc, p.sref.is_store))
-                .or_default()
-                .push(p.verdict);
-        }
-        by_group
-            .into_iter()
-            .map(|(k, vs)| {
-                let first = vs[0];
-                let agreed = if vs.iter().all(|&v| v == first) {
-                    first
-                } else {
-                    Delinquency::Unknown
-                };
-                (k, agreed)
-            })
-            .collect()
+    // stays under the floor; the heuristic fills the rest. Predictions
+    // come `(pc, is_store)`-sorted, like `per_pc`: one verdict per run,
+    // Unknown where the run's sites disagree.
+    let preds = facts.predict(l1, hot_miss_floor);
+    let heuristics: Vec<((Pc, bool), Delinquency)> = runs(&preds, |p| (p.sref.pc, p.sref.is_store))
+        .map(|run| {
+            let first = run[0].verdict;
+            let agreed = if run.iter().all(|p| p.verdict == first) {
+                first
+            } else {
+                Delinquency::Unknown
+            };
+            ((run[0].sref.pc, run[0].sref.is_store), agreed)
+        })
+        .collect();
+    drop(preds);
+    let heuristic = |key: (Pc, bool)| {
+        let i = heuristics.partition_point(|(k, _)| *k < key);
+        heuristics
+            .get(i)
+            .filter(|(k, _)| *k == key)
+            .map_or(Delinquency::Unknown, |&(_, d)| d)
     };
     let delinquency = per_pc
         .iter()
@@ -368,13 +391,7 @@ pub fn compose_program(
             } else if executes && g.l1.hi.is_some() && ratio_hi <= hot_miss_floor {
                 (Delinquency::PredictCold, true)
             } else {
-                (
-                    heuristics
-                        .get(&(g.pc, g.is_store))
-                        .copied()
-                        .unwrap_or(Delinquency::Unknown),
-                    false,
-                )
+                (heuristic((g.pc, g.is_store)), false)
             };
             StaticDelinquent {
                 pc: g.pc,

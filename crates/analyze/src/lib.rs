@@ -26,6 +26,11 @@
 //!   AlwaysHit / AlwaysMiss / Persistent cache verdicts that the full
 //!   simulator audits (the `table_absint` harness and the `umi_lint`
 //!   soundness gate).
+//! * [`ProgramFacts`] — the CFG, loop, constant and affine facts the
+//!   whole-program passes share, built at most once per program. Each
+//!   pass's free function builds one; [`ProgramFacts::absint`],
+//!   [`ProgramFacts::predict`] and [`ProgramFacts::compose`] let a
+//!   pipeline of passes over one program share it.
 //!
 //! # Example
 //!
@@ -63,6 +68,7 @@ mod cachepred;
 mod cfg;
 mod compose;
 mod domain;
+mod facts;
 mod lint;
 mod liveness;
 mod trips;
@@ -81,6 +87,7 @@ pub use compose::{
     compose_program, MissInterval, PcMissBound, SiteMissBound, StaticDelinquent, StaticReport,
 };
 pub use domain::{LineToken, MustState};
+pub use facts::ProgramFacts;
 pub use lint::{lint_program, Lint, LintKind, Severity};
 pub use liveness::{insn_defs, insn_uses, liveness, reg_bit, regs_in, term_uses, Liveness};
 pub use trips::{trip_analysis, ExecBound, TripAnalysis, TripBound};

@@ -12,9 +12,9 @@
 //! internal map iteration order — a requirement for the golden-diffed
 //! `umi_lint` CI gate.
 
-use crate::absint::{absint_program, Verdict};
-use crate::affine::{classify_program, StaticClass};
-use crate::cfg::{analyze_program, Cfg};
+use crate::absint::Verdict;
+use crate::affine::StaticClass;
+use crate::facts::ProgramFacts;
 use crate::liveness::{insn_defs, insn_uses, liveness, regs_in, term_uses};
 use std::collections::HashSet;
 use std::fmt;
@@ -117,14 +117,13 @@ fn pure_def(insn: &Insn) -> bool {
 /// The result is sorted by `(pc, kind, block)` and depends only on the
 /// program, never on map iteration order.
 pub fn lint_program(program: &Program) -> Vec<Lint> {
-    let cfg = Cfg::build(program);
-    let funcs = analyze_program(program, &cfg);
-    let lv = liveness(program, &cfg);
+    let facts = ProgramFacts::new(program);
+    let lv = liveness(program, &facts.cfg);
     let mut out = Vec::new();
 
     // Unreachable blocks: not in any function's reachable set.
     let mut reachable: HashSet<BlockId> = HashSet::new();
-    for fa in &funcs {
+    for fa in &facts.funcs {
         reachable.extend(fa.doms.rpo().iter().copied());
     }
     for block in &program.blocks {
@@ -179,7 +178,7 @@ pub fn lint_program(program: &Program) -> Vec<Lint> {
     // Zero-stride memory ops in loops: every iteration re-touches one
     // line. Filtered (stack/absolute) refs are exempt — UMI never
     // profiles them, and spill traffic legitimately looks like this.
-    for sref in classify_program(program) {
+    for sref in facts.refs() {
         if sref.class == StaticClass::LoopInvariant && !sref.filtered {
             out.push(Lint {
                 pc: sref.pc,
@@ -203,7 +202,7 @@ pub fn lint_program(program: &Program) -> Vec<Lint> {
     // Filtered refs stay exempt for the same reason as above.
     let geom_l1 = umi_geom::CacheGeometry::pentium4_l1d();
     let geom_l2 = umi_geom::CacheGeometry::pentium4_l2();
-    for row in absint_program(program, &geom_l1, &geom_l2) {
+    for row in facts.absint(&geom_l1, &geom_l2) {
         if !row.is_store && !row.filtered && row.in_loop && row.l1 == Verdict::AlwaysHit {
             out.push(Lint {
                 pc: row.pc,

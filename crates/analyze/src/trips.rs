@@ -40,12 +40,11 @@
 //! and that loops terminate; the `table_staticplan` gate audits both
 //! directions against the exact simulator.
 
-use crate::affine::{loop_reg_kinds, RegKind};
-use crate::cachepred::loop_trip_bound;
-use crate::cfg::{analyze_program, intra_successors, Cfg, FuncAnalysis};
-use crate::value::{value_analysis, ValueAnalysis, ValueState};
+use crate::affine::RegKind;
+use crate::cfg::{intra_successors, Dominators, NaturalLoop};
+use crate::facts::ProgramFacts;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use umi_ir::{BlockId, Insn, Operand, Program, Reg, Terminator};
+use umi_ir::{BlockId, Insn, Operand, Program, Terminator};
 
 /// Iterations of one loop per entry (executions of its header between
 /// entering and leaving).
@@ -98,7 +97,7 @@ pub struct TripAnalysis {
 
 impl TripAnalysis {
     /// The trip bound of loop `li` of function `fi` (indices into
-    /// [`analyze_program`]'s result, as used by [`crate::innermost_loop_map`]).
+    /// [`crate::analyze_program`]'s result, as used by [`crate::innermost_loop_map`]).
     pub fn loop_trip(&self, fi: usize, li: usize) -> TripBound {
         self.trips
             .get(&(fi, li))
@@ -119,47 +118,33 @@ impl TripAnalysis {
 /// is beyond this is reported as unbounded rather than replayed forever.
 const EXACT_TRIP_CAP: u64 = 1 << 24;
 
-/// Everything the bound derivations share, with memo tables mirroring
-/// the absint driver's (the two walk the same call/loop structure).
-struct Trips<'p> {
-    program: &'p Program,
-    cfg: Cfg,
-    funcs: Vec<FuncAnalysis>,
-    values: ValueAnalysis,
-    /// Function index owning each block (first claim in RPO order).
-    owner: Vec<Option<usize>>,
+/// The bound derivations' view of the shared [`ProgramFacts`], with
+/// memo tables mirroring the absint driver's (the two walk the same
+/// call/loop structure).
+struct Trips<'f, 'p> {
+    facts: &'f ProgramFacts<'p>,
     trips: BTreeMap<(usize, usize), TripBound>,
     entries_max: HashMap<usize, Option<u64>>,
     entries_min: HashMap<usize, u64>,
     /// Functions that can (transitively) execute a `Halt` terminator.
     can_halt: Vec<bool>,
+    /// Per function, the nearest common dominator of its terminal-capable
+    /// blocks (`None` when it has none), built on first use.
+    exit_dom: HashMap<usize, Option<BlockId>>,
     /// Per loop, the body blocks that execute on *every* iteration
     /// (loop-local dominators of every latch).
     every_iter: HashMap<(usize, usize), BTreeSet<BlockId>>,
 }
 
-impl<'p> Trips<'p> {
-    fn new(program: &'p Program) -> Trips<'p> {
-        let cfg = Cfg::build(program);
-        let funcs = analyze_program(program, &cfg);
-        let values = value_analysis(program);
-        let mut owner = vec![None; program.blocks.len()];
-        for (fi, fa) in funcs.iter().enumerate() {
-            for &b in fa.doms.rpo() {
-                owner[b.index()].get_or_insert(fi);
-            }
-        }
-        let can_halt = halting_functions(program, &funcs, &values);
+impl<'f, 'p> Trips<'f, 'p> {
+    fn new(facts: &'f ProgramFacts<'p>) -> Trips<'f, 'p> {
         Trips {
-            program,
-            cfg,
-            funcs,
-            values,
-            owner,
+            facts,
             trips: BTreeMap::new(),
             entries_max: HashMap::new(),
             entries_min: HashMap::new(),
-            can_halt,
+            can_halt: halting_functions(facts),
+            exit_dom: HashMap::new(),
             every_iter: HashMap::new(),
         }
     }
@@ -168,10 +153,7 @@ impl<'p> Trips<'p> {
         if let Some(t) = self.trips.get(&key) {
             return *t;
         }
-        let fa = &self.funcs[key.0];
-        let lp = &fa.loops[key.1];
-        let kinds = loop_reg_kinds(self.program, lp, &fa.doms);
-        let t = match exact_trips(self.program, &self.cfg, &self.values, fa, key.1, &kinds) {
+        let t = match exact_trips(self.facts, key) {
             Some((t, single_exit)) => TripBound {
                 min: if single_exit { t } else { 1 },
                 max: Some(t),
@@ -179,7 +161,7 @@ impl<'p> Trips<'p> {
             },
             None => TripBound {
                 min: 1,
-                max: loop_trip_bound(self.program, lp, &kinds),
+                max: self.facts.trip_bound(key),
                 exact: false,
             },
         };
@@ -190,10 +172,11 @@ impl<'p> Trips<'p> {
     /// Upper bound on whole-run executions of `block` (the absint
     /// driver's product, with the exact trip counts folded in).
     fn exec_max(&mut self, block: BlockId, visiting: &mut Vec<usize>) -> Option<u64> {
-        let fi = self.owner[block.index()]?;
+        let facts = self.facts;
+        let fi = facts.owner[block.index()]?;
         let mut bound = self.func_entries_max(fi, visiting)?;
-        for li in 0..self.funcs[fi].loops.len() {
-            if self.funcs[fi].loops[li].body.contains(&block) {
+        for (li, lp) in facts.funcs[fi].loops.iter().enumerate() {
+            if lp.body.contains(&block) {
                 bound = bound.checked_mul(self.trip((fi, li)).max?)?;
             }
         }
@@ -207,17 +190,18 @@ impl<'p> Trips<'p> {
         if visiting.contains(&fi) {
             return None;
         }
-        let result = if self.program.funcs[fi].id == self.program.entry {
+        let program = self.facts.program;
+        let result = if program.funcs[fi].id == program.entry {
             Some(1)
         } else {
             visiting.push(fi);
-            let target = self.program.funcs[fi].id;
+            let target = program.funcs[fi].id;
             let mut total: Option<u64> = Some(0);
-            for (bi, block) in self.program.blocks.iter().enumerate() {
+            for (bi, block) in program.blocks.iter().enumerate() {
                 let Terminator::Call { func, .. } = block.terminator else {
                     continue;
                 };
-                if func != target || !self.values.reached(BlockId(bi as u32)) {
+                if func != target || !self.facts.values().reached(BlockId(bi as u32)) {
                     continue;
                 }
                 total = match (total, self.exec_max(BlockId(bi as u32), visiting)) {
@@ -235,7 +219,7 @@ impl<'p> Trips<'p> {
     /// Lower bound on whole-run executions of `block`: guaranteed
     /// function entries times the per-invocation must-execute product.
     fn exec_min(&mut self, block: BlockId, visiting: &mut Vec<usize>) -> u64 {
-        let Some(fi) = self.owner[block.index()] else {
+        let Some(fi) = self.facts.owner[block.index()] else {
             return 0;
         };
         let per_invocation = self.per_invocation_min(fi, block);
@@ -253,17 +237,18 @@ impl<'p> Trips<'p> {
         if visiting.contains(&fi) {
             return 0;
         }
-        let result = if self.program.funcs[fi].id == self.program.entry {
+        let program = self.facts.program;
+        let result = if program.funcs[fi].id == program.entry {
             1
         } else {
             visiting.push(fi);
-            let target = self.program.funcs[fi].id;
+            let target = program.funcs[fi].id;
             let mut total: u64 = 0;
-            for (bi, block) in self.program.blocks.iter().enumerate() {
+            for (bi, block) in program.blocks.iter().enumerate() {
                 let Terminator::Call { func, .. } = block.terminator else {
                     continue;
                 };
-                if func != target || !self.values.reached(BlockId(bi as u32)) {
+                if func != target || !self.facts.values().reached(BlockId(bi as u32)) {
                     continue;
                 }
                 total = total.saturating_add(self.exec_min(BlockId(bi as u32), visiting));
@@ -284,8 +269,8 @@ impl<'p> Trips<'p> {
             return 0;
         }
         let mut min: u64 = 1;
-        for li in 0..self.funcs[fi].loops.len() {
-            if !self.funcs[fi].loops[li].body.contains(&block) {
+        for li in 0..self.facts.funcs[fi].loops.len() {
+            if !self.facts.lp((fi, li)).body.contains(&block) {
                 continue;
             }
             let t = self.trip((fi, li));
@@ -297,57 +282,57 @@ impl<'p> Trips<'p> {
     }
 
     /// Whether every path from `fi`'s entry to any way the program can
-    /// stop inside this invocation passes through `block`.
-    fn must_reach_exit(&self, fi: usize, block: BlockId) -> bool {
-        let fa = &self.funcs[fi];
-        if !fa.doms.is_reachable(block) {
+    /// stop inside this invocation passes through `block`: whether it
+    /// dominates every reachable `Ret`/`Halt` and every call whose callee
+    /// can halt — equivalently, their nearest common dominator.
+    fn must_reach_exit(&mut self, fi: usize, block: BlockId) -> bool {
+        let facts = self.facts;
+        let doms = &facts.funcs[fi].doms;
+        if !doms.is_reachable(block) {
             return false;
         }
-        let mut saw_exit = false;
-        for &b in fa.doms.rpo() {
-            let terminal = match &self.program.block(b).terminator {
-                Terminator::Ret | Terminator::Halt => true,
-                Terminator::Call { func, .. } => self
-                    .program
-                    .funcs
-                    .iter()
-                    .position(|f| f.id == *func)
-                    .is_none_or(|callee| self.can_halt[callee]),
-                _ => false,
-            };
-            if !terminal {
-                continue;
-            }
-            saw_exit = true;
-            if !fa.doms.dominates(block, b) {
-                return false;
-            }
+        let can_halt = &self.can_halt;
+        let exit_dom = *self.exit_dom.entry(fi).or_insert_with(|| {
+            let program = facts.program;
+            let terminals: Vec<BlockId> = doms
+                .rpo()
+                .iter()
+                .copied()
+                .filter(|&b| match &program.block(b).terminator {
+                    Terminator::Ret | Terminator::Halt => true,
+                    Terminator::Call { func, .. } => program
+                        .funcs
+                        .iter()
+                        .position(|f| f.id == *func)
+                        .is_none_or(|callee| can_halt[callee]),
+                    _ => false,
+                })
+                .collect();
+            doms.common_dominator(&terminals)
+        });
+        match exit_dom {
+            Some(d) => doms.dominates(block, d),
+            // No reachable exit at all: the invocation never completes, so
+            // nothing past the entry block is guaranteed in a finite run.
+            None => block == facts.program.funcs[fi].entry,
         }
-        // No reachable exit at all: the invocation never completes, so
-        // nothing past the entry block is guaranteed in a finite run.
-        saw_exit || block == self.program.funcs[fi].entry
     }
 
     /// The blocks of loop `key` that execute on every iteration:
     /// loop-local dominators (body subgraph rooted at the header) of
     /// every latch.
     fn every_iteration(&mut self, key: (usize, usize)) -> &BTreeSet<BlockId> {
-        if !self.every_iter.contains_key(&key) {
-            let lp = &self.funcs[key.0].loops[key.1];
-            let set = local_latch_dominators(self.program, lp.header, &lp.body, &lp.latches);
-            self.every_iter.insert(key, set);
-        }
-        &self.every_iter[&key]
+        let facts = self.facts;
+        self.every_iter
+            .entry(key)
+            .or_insert_with(|| latch_dominators(&facts.funcs[key.0].doms, facts.lp(key)))
     }
 }
 
 /// Which functions can (transitively) execute a `Halt`, by fixpoint over
 /// the reached call graph. Unresolvable callees count as halting.
-fn halting_functions(
-    program: &Program,
-    funcs: &[FuncAnalysis],
-    values: &ValueAnalysis,
-) -> Vec<bool> {
+fn halting_functions(facts: &ProgramFacts<'_>) -> Vec<bool> {
+    let (program, funcs, values) = (facts.program, &facts.funcs, facts.values());
     let mut can_halt = vec![false; funcs.len()];
     loop {
         let mut changed = false;
@@ -381,9 +366,33 @@ fn halting_functions(
 }
 
 /// Loop-local dominators of every latch: the body blocks through which
-/// every header→latch path inside the body passes. Classic iterative
-/// dominator sets over the body subgraph, rooted at the header (body
-/// sets are small; the quadratic formulation is fine here).
+/// every header→latch path inside the body passes.
+///
+/// For a body block these are exactly its dominators in the function's
+/// tree: a path from the function entry to a latch passes the header,
+/// and its suffix after the last header visit stays in the body, so a
+/// body block on every local path is on every global one; conversely a
+/// body block `b` dominating a latch but missing from some local path
+/// would have to sit on every entry→header path, i.e. dominate the
+/// header that dominates it, so `b` is the header. (The loop-local
+/// caveat in the module docs is about blocks *outside* the body.) The
+/// set is therefore the dominator-tree path from the latches' nearest
+/// common dominator up to the header: O(depth) per loop.
+fn latch_dominators(doms: &Dominators, lp: &NaturalLoop) -> BTreeSet<BlockId> {
+    let mut out = BTreeSet::new();
+    let mut cur = doms.common_dominator(&lp.latches);
+    while let Some(b) = cur {
+        out.insert(b);
+        cur = (b != lp.header).then(|| doms.idom(b)).flatten();
+    }
+    out
+}
+
+/// The classic iterative dominator-set formulation of
+/// [`latch_dominators`] over the body subgraph rooted at the header:
+/// the differential oracle of the tree walk, O(body²) in time and
+/// memory.
+#[cfg(test)]
 fn local_latch_dominators(
     program: &Program,
     header: BlockId,
@@ -439,117 +448,12 @@ fn local_latch_dominators(
     out.unwrap_or_default()
 }
 
-/// The constant state on the loop's entry edges — the join over every
-/// non-latch path into the header (the absint driver's virtual
-/// preheader, restated here over the same [`ValueAnalysis`]).
-fn preheader_state(
-    program: &Program,
-    cfg: &Cfg,
-    values: &ValueAnalysis,
-    fa: &FuncAnalysis,
-    li: usize,
-) -> ValueState {
-    let lp = &fa.loops[li];
-    let fi_entry = program
-        .funcs
-        .iter()
-        .find(|f| f.entry == fa.doms.entry())
-        .map(|f| (f.entry, f.id));
-    let mut ph: Option<ValueState> = None;
-    let join = |s: ValueState, ph: &mut Option<ValueState>| match ph {
-        None => *ph = Some(s),
-        Some(p) => {
-            p.join_from(&s);
-        }
-    };
-    if let Some((entry, id)) = fi_entry {
-        if entry == lp.header {
-            let seed = if id == program.entry {
-                ValueState::vm_entry()
-            } else {
-                ValueState::top()
-            };
-            join(seed, &mut ph);
-        }
-    }
-    for &p in cfg.preds(lp.header) {
-        if lp.body.contains(&p) || !values.reached(p) {
-            continue;
-        }
-        if matches!(program.block(p).terminator, Terminator::Call { .. }) {
-            join(ValueState::top(), &mut ph);
-            continue;
-        }
-        let mut out = values.block_entry(p).clone();
-        for insn in &program.block(p).insns {
-            out.step(insn);
-        }
-        join(out, &mut ph);
-    }
-    ph.unwrap_or_else(ValueState::top)
-}
-
-/// First-iteration constant state at the entry of `target` inside the
-/// loop: constant propagation over the body with the loop's own back
-/// edges cut, seeded from the virtual preheader.
-fn peel_state_at(
-    program: &Program,
-    cfg: &Cfg,
-    values: &ValueAnalysis,
-    fa: &FuncAnalysis,
-    li: usize,
-    target: BlockId,
-) -> Option<ValueState> {
-    let lp = &fa.loops[li];
-    let seed = preheader_state(program, cfg, values, fa, li);
-    let mut states: BTreeMap<BlockId, Option<ValueState>> =
-        lp.body.iter().map(|&b| (b, None)).collect();
-    states.insert(lp.header, Some(seed));
-    let mut work = vec![lp.header];
-    while let Some(b) = work.pop() {
-        let Some(mut out) = states[&b].clone() else {
-            continue;
-        };
-        for insn in &program.block(b).insns {
-            out.step(insn);
-        }
-        if matches!(program.block(b).terminator, Terminator::Call { .. }) {
-            out = ValueState::top();
-        }
-        for s in intra_successors(&program.block(b).terminator) {
-            if !lp.body.contains(&s) || (s == lp.header && lp.latches.contains(&b)) {
-                continue;
-            }
-            let slot = states.get_mut(&s)?;
-            let changed = match slot {
-                None => {
-                    *slot = Some(out.clone());
-                    true
-                }
-                Some(cur) => cur.join_from(&out),
-            };
-            if changed && !work.contains(&s) {
-                work.push(s);
-            }
-        }
-    }
-    states.remove(&target).flatten()
-}
-
-/// Tries to count loop `li` of `fa` exactly. Returns `(trips,
-/// single_exit)`: the number of header executions per entry, and whether
-/// the latch's exit edge is the only way out of the body (making the
-/// count a lower bound too). `None` when the loop is not a recognizable
-/// counted loop.
-fn exact_trips(
-    program: &Program,
-    cfg: &Cfg,
-    values: &ValueAnalysis,
-    fa: &FuncAnalysis,
-    li: usize,
-    kinds: &[RegKind; Reg::COUNT],
-) -> Option<(u64, bool)> {
-    let lp = &fa.loops[li];
+/// Tries to count loop `key` exactly. Returns `(trips, single_exit)`:
+/// the number of header executions per entry, and whether the latch's
+/// exit edge is the only way out of the body (making the count a lower
+/// bound too). `None` when the loop is not a recognizable counted loop.
+fn exact_trips(facts: &ProgramFacts<'_>, key: (usize, usize)) -> Option<(u64, bool)> {
+    let (program, lp) = (facts.program, facts.lp(key));
     // The replay models control flow and the counter's value sequence
     // exactly, which needs a body free of calls (a callee shares the
     // register file) and of indirect or halting exits.
@@ -597,14 +501,15 @@ fn exact_trips(
     else {
         return None;
     };
-    let RegKind::Induction(d) = kinds[reg.index()] else {
+    let RegKind::Induction(d) = facts.kinds(key)[reg.index()] else {
         return None;
     };
     if d == 0 {
         return None;
     }
-    // First-iteration value of the counter at the compare point.
-    let mut st = peel_state_at(program, cfg, values, fa, li, latch)?;
+    // First-iteration value of the counter at the compare point: the
+    // constant layer over the body with the back edges cut.
+    let mut st = facts.peel_values(key).get(&latch)?.clone()?;
     for insn in &program.block(latch).insns[..cmp_idx] {
         st.step(insn);
     }
@@ -637,19 +542,25 @@ fn exact_trips(
 /// Runs the trip-count and execution-bound analysis over `program`.
 ///
 /// Results cover every natural loop (by `(function, loop)` index, the
-/// same numbering as [`analyze_program`] / [`crate::innermost_loop_map`])
+/// same numbering as [`crate::analyze_program`] / [`crate::innermost_loop_map`])
 /// and every block. Unreached blocks get the exact bound `[0, 0]`.
 pub fn trip_analysis(program: &Program) -> TripAnalysis {
-    let mut tz = Trips::new(program);
-    for fi in 0..tz.funcs.len() {
-        for li in 0..tz.funcs[fi].loops.len() {
+    analyze_trips(&ProgramFacts::new(program))
+}
+
+/// [`trip_analysis`] over prebuilt facts.
+pub(crate) fn analyze_trips(facts: &ProgramFacts<'_>) -> TripAnalysis {
+    let mut tz = Trips::new(facts);
+    for (fi, fa) in facts.funcs.iter().enumerate() {
+        for li in 0..fa.loops.len() {
             tz.trip((fi, li));
         }
     }
-    let mut exec = Vec::with_capacity(program.blocks.len());
-    for bi in 0..program.blocks.len() {
+    let n = facts.program.blocks.len();
+    let mut exec = Vec::with_capacity(n);
+    for bi in 0..n {
         let b = BlockId(bi as u32);
-        if !tz.values.reached(b) {
+        if !facts.values().reached(b) {
             exec.push(ExecBound {
                 min: 0,
                 max: Some(0),
@@ -670,7 +581,7 @@ pub fn trip_analysis(program: &Program) -> TripAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use umi_ir::{ProgramBuilder, Width};
+    use umi_ir::{ProgramBuilder, Reg, Width};
 
     /// entry: ecx = 0; body: load; ecx += 1; cmp ecx, n; br_lt body, exit
     fn counted(n: i64) -> (umi_ir::Program, BlockId, BlockId) {
@@ -864,6 +775,166 @@ mod tests {
         assert_eq!((m.min, m.max), (0, Some(100)), "conditional block");
         let h = ta.exec(head);
         assert_eq!((h.min, h.max), (100, Some(100)), "header runs each trip");
+    }
+
+    /// Compares the dominator-tree walk against the iterative oracle on
+    /// every loop of `p` with at most `max_body` blocks; returns how many
+    /// loops it checked.
+    fn check_latch_dominators(p: &Program, max_body: usize) -> usize {
+        let facts = ProgramFacts::new(p);
+        let mut checked = 0;
+        for fa in &facts.funcs {
+            for lp in fa.loops.iter().filter(|lp| lp.body.len() <= max_body) {
+                assert_eq!(
+                    latch_dominators(&fa.doms, lp),
+                    local_latch_dominators(p, lp.header, &lp.body, &lp.latches),
+                    "{}: loop at {}",
+                    p.name,
+                    lp.header
+                );
+                checked += 1;
+            }
+        }
+        checked
+    }
+
+    #[test]
+    fn latch_dominators_match_the_iterative_oracle() {
+        // An outer loop with two latches around an inner loop with two
+        // latches, one of them on a conditional path.
+        let mut pb = ProgramBuilder::new();
+        let f = pb.begin_func("main");
+        let outer = pb.new_block();
+        let inner = pb.new_block();
+        let work = pb.new_block();
+        let skip = pb.new_block();
+        let tail = pb.new_block();
+        let mid = pb.new_block();
+        let exit = pb.new_block();
+        pb.block(f.entry())
+            .alloc(Reg::ESI, 4096)
+            .movi(Reg::EDX, 0)
+            .jmp(outer);
+        pb.block(outer).movi(Reg::ECX, 0).jmp(inner);
+        pb.block(inner)
+            .load(Reg::EAX, Reg::ESI + 0, Width::W8)
+            .cmpi(Reg::EAX, 7)
+            .br_eq(skip, work);
+        pb.block(work)
+            .addi(Reg::ECX, 1)
+            .cmpi(Reg::ECX, 10)
+            .br_lt(inner, tail);
+        pb.block(skip)
+            .addi(Reg::ECX, 2)
+            .cmpi(Reg::ECX, 10)
+            .br_lt(inner, tail);
+        pb.block(tail)
+            .addi(Reg::EDX, 1)
+            .cmpi(Reg::EDX, 5)
+            .br_lt(outer, mid);
+        pb.block(mid).cmpi(Reg::EAX, 3).br_eq(outer, exit);
+        pb.block(exit).ret();
+        let nested = pb.finish();
+        assert_eq!(check_latch_dominators(&nested, usize::MAX), 2);
+        let facts = ProgramFacts::new(&nested);
+        let fa = &facts.funcs[0];
+        let outer_loop = fa.loops.iter().find(|lp| lp.header == outer).unwrap();
+        assert_eq!(outer_loop.latches, vec![tail, mid]);
+        assert_eq!(
+            latch_dominators(&fa.doms, outer_loop),
+            BTreeSet::from([outer, inner, tail])
+        );
+
+        // A diamond inside the loop whose join block dominates the latch.
+        let mut pb = ProgramBuilder::new();
+        let f = pb.begin_func("main");
+        let head = pb.new_block();
+        let a = pb.new_block();
+        let b = pb.new_block();
+        let join = pb.new_block();
+        let exit = pb.new_block();
+        pb.block(f.entry()).movi(Reg::ECX, 0).jmp(head);
+        pb.block(head).cmpi(Reg::EAX, 0).br_eq(a, b);
+        pb.block(a).jmp(join);
+        pb.block(b).jmp(join);
+        pb.block(join)
+            .addi(Reg::ECX, 1)
+            .cmpi(Reg::ECX, 8)
+            .br_lt(head, exit);
+        pb.block(exit).ret();
+        assert_eq!(check_latch_dominators(&pb.finish(), usize::MAX), 1);
+
+        // Every suite loop small enough for the quadratic oracle.
+        let mut suite = 0;
+        for spec in umi_workloads::all32() {
+            suite += check_latch_dominators(&spec.build(umi_workloads::Scale::Test), 512);
+        }
+        assert!(suite > 32, "only {suite} suite loops checked");
+    }
+
+    #[test]
+    fn counted_loop_around_a_4096_state_switch_is_exact() {
+        // for ecx in 0..1000 { switch eax { 4096 cases } } with the
+        // switch as a compare chain, so the loop stays a counted loop
+        // whose every-iteration set the trip analysis must derive. The
+        // iterative oracle would hold a 4096-case body set per block.
+        const STATES: usize = 4096;
+        let mut pb = ProgramBuilder::new();
+        let f = pb.begin_func("main");
+        let head = pb.new_block();
+        let tests: Vec<BlockId> = (0..STATES).map(|_| pb.new_block()).collect();
+        let cases: Vec<BlockId> = (0..STATES).map(|_| pb.new_block()).collect();
+        let latch = pb.new_block();
+        let exit = pb.new_block();
+        pb.block(f.entry())
+            .alloc(Reg::ESI, 4096)
+            .movi(Reg::ECX, 0)
+            .jmp(head);
+        pb.block(head)
+            .load(Reg::EAX, Reg::ESI + 0, Width::W8)
+            .jmp(tests[0]);
+        for k in 0..STATES {
+            let next = tests.get(k + 1).copied().unwrap_or(latch);
+            pb.block(tests[k])
+                .cmpi(Reg::EAX, k as i64)
+                .br_eq(cases[k], next);
+            pb.block(cases[k]).addi(Reg::EDX, k as i64).jmp(latch);
+        }
+        pb.block(latch)
+            .addi(Reg::ECX, 1)
+            .cmpi(Reg::ECX, 1000)
+            .br_lt(head, exit);
+        pb.block(exit).ret();
+        let p = pb.finish();
+
+        let facts = ProgramFacts::new(&p);
+        let fa = &facts.funcs[0];
+        assert_eq!(fa.loops.len(), 1);
+        assert_eq!(fa.loops[0].body.len(), 2 * STATES + 2);
+        assert_eq!(
+            latch_dominators(&fa.doms, &fa.loops[0]),
+            BTreeSet::from([head, tests[0], latch])
+        );
+        let ta = analyze_trips(&facts);
+        assert_eq!(
+            ta.loop_trip(0, 0),
+            TripBound {
+                min: 1000,
+                max: Some(1000),
+                exact: true
+            }
+        );
+        let exec = |b: BlockId| {
+            let e = ta.exec(b);
+            (e.min, e.max)
+        };
+        for b in [head, tests[0], latch] {
+            assert_eq!(exec(b), (1000, Some(1000)), "{b} runs every trip");
+        }
+        for b in [tests[1], tests[STATES - 1], cases[0], cases[STATES - 1]] {
+            assert_eq!(exec(b), (0, Some(1000)), "{b} is conditional");
+        }
+        assert_eq!(exec(exit), (1, Some(1)));
     }
 
     #[test]

@@ -36,10 +36,9 @@
 //! Diagnostics are stably ordered by `(pc, kind, block)`, like the
 //! `umi-analyze` lint suite they feed into the `umi_lint` CI gate with.
 
+use std::collections::HashMap;
 use std::fmt;
-use umi_analyze::{
-    absint_program, predict_program, CacheGeometry, Delinquency, Severity, StaticClass, Verdict,
-};
+use umi_analyze::{CacheGeometry, Delinquency, ProgramFacts, Severity, StaticClass, Verdict};
 use umi_cache::{MIN_PREFETCH_DISTANCE_BYTES, PAGE_BYTES};
 use umi_ir::{BlockId, Insn, MemRef, Pc, Program, Reg};
 
@@ -137,7 +136,8 @@ impl ExprShape {
 /// against and `hot_miss_floor` the dynamic threshold floor they assume —
 /// pass the same values as `umi_analyze::predict_program`. `l2` is the
 /// next level's geometry, which the must-cache abstract interpreter
-/// ([`absint_program`]) needs to certify AlwaysMiss verdicts.
+/// ([`umi_analyze::absint_program`]) needs to certify AlwaysMiss
+/// verdicts.
 ///
 /// The result is sorted by `(pc, kind, block)` and deterministic.
 pub fn check_rewritten(
@@ -146,23 +146,29 @@ pub fn check_rewritten(
     l2: &CacheGeometry,
     hot_miss_floor: f64,
 ) -> Vec<PlanDiagnostic> {
-    let preds = predict_program(program, geom, hot_miss_floor);
-    let rows = absint_program(program, geom, l2);
+    // The must analysis runs before the predictor classifies the
+    // references, so its working set never coexists with theirs.
+    let facts = ProgramFacts::new(program);
+    let rows = facts.absint(geom, l2);
+    let preds = facts.predict(geom, hot_miss_floor);
     let mut out = Vec::new();
 
-    // Classification and loop id per load pc (loads only: hints guard
-    // loads). `classify_program` orders loads before stores at one pc.
+    // Classification per load pc (loads only: hints guard loads). Both
+    // tables are `(pc, is_store)`-sorted, loads first at one pc, so a
+    // pc's load sites are one run found by binary search.
     let class_of = |pc: Pc| {
+        let i = preds.partition_point(|p| (p.sref.pc, p.sref.is_store) < (pc, false));
         preds
-            .iter()
-            .find(|p| p.sref.pc == pc && !p.sref.is_store)
+            .get(i)
+            .filter(|p| p.sref.pc == pc && !p.sref.is_store)
             .map(|p| p.sref.class)
     };
     // Proven steady-state L1 verdict per load pc. An instruction can
     // issue two load sites with different verdicts; like the soundness
     // audit, treat the pc as proven only when every load site agrees.
     let verdict_of = |pc: Pc| {
-        let mut loads = rows.iter().filter(|r| r.pc == pc && !r.is_store);
+        let i = rows.partition_point(|r| (r.pc, r.is_store) < (pc, false));
+        let mut loads = rows[i..].iter().take_while(|r| r.pc == pc && !r.is_store);
         let first = loads.next()?.l1;
         loads.all(|r| r.l1 == first).then_some(first)
     };
@@ -170,15 +176,13 @@ pub fn check_rewritten(
     // Hints grouped per innermost loop for the redundancy / coverage
     // checks. Blocks outside any loop group per block: a straight-line
     // duplicate pair is just as redundant.
-    let cfg = umi_analyze::Cfg::build(program);
-    let funcs = umi_analyze::analyze_program(program, &cfg);
-    let innermost = umi_analyze::innermost_loop_map(program.blocks.len(), &funcs);
+    let innermost = facts.innermost();
     let group_of = |block: BlockId| {
         innermost[block.index()].map_or((usize::MAX, block.index()), |(f, l)| (f, l))
     };
 
     // (group, shape) -> first hint seen, in pc order.
-    let mut seen: Vec<((usize, usize), ExprShape, Pc, i64)> = Vec::new();
+    let mut seen: HashMap<((usize, usize), ExprShape), (Pc, i64)> = HashMap::new();
 
     for block in &program.blocks {
         for (i, (pc, insn)) in block.iter_with_pc().enumerate() {
@@ -270,11 +274,7 @@ pub fn check_rewritten(
             // same expression within a line.
             let group = group_of(block.id);
             let shape = ExprShape::of(mem);
-            if let Some((_, _, first_pc, first_disp)) = seen
-                .iter()
-                .find(|(g, sh, _, _)| *g == group && *sh == shape)
-                .copied()
-            {
+            if let Some(&(first_pc, first_disp)) = seen.get(&(group, shape)) {
                 if mem.disp.wrapping_sub(first_disp).unsigned_abs() < geom.line_size {
                     out.push(PlanDiagnostic {
                         pc,
@@ -284,7 +284,7 @@ pub fn check_rewritten(
                     });
                 }
             } else {
-                seen.push((group, shape, pc, mem.disp));
+                seen.insert((group, shape), (pc, mem.disp));
             }
         }
     }
@@ -298,10 +298,8 @@ pub fn check_rewritten(
         {
             continue;
         }
-        let group = group_of(p.sref.block);
-        let shape = ExprShape::of(&p.sref.mem);
-        let covered = seen.iter().any(|(g, sh, _, _)| *g == group && *sh == shape);
-        if !covered {
+        let (group, shape) = (group_of(p.sref.block), ExprShape::of(&p.sref.mem));
+        if !seen.contains_key(&(group, shape)) {
             // The heuristic prediction can be wrong; a proven AlwaysMiss
             // verdict cannot, so say when the candidate is confirmed.
             let confirmed = if verdict_of(p.sref.pc) == Some(Verdict::AlwaysMiss) {
@@ -524,6 +522,45 @@ mod tests {
         assert!(diags[0].message.contains("loop-invariant"));
         assert_eq!(diags[1].severity(), Severity::Warning);
         assert!(diags[1].message.contains("provably hits L1"));
+    }
+
+    #[test]
+    fn a_pc_is_proven_only_when_all_its_load_sites_agree() {
+        // `cmp [esi], [r13]` issues two loads at one pc: the invariant
+        // [esi] is AlwaysHit, the chased [r13] unclassified. The hint
+        // guards the pc through its [esi] site, which is loop-invariant
+        // (a stride mismatch), but the pc as a whole is not proven
+        // resident, so no pointless-prefetch warning.
+        let mut pb = ProgramBuilder::new();
+        let f = pb.begin_func("main");
+        let body = pb.new_block();
+        let done = pb.new_block();
+        pb.block(f.entry())
+            .movi(Reg::ECX, 0)
+            .alloc(Reg::ESI, 4096)
+            .alloc(Reg::R13, 4096)
+            .jmp(body);
+        pb.block(body)
+            .prefetch(Reg::ESI + 256)
+            .cmp(Reg::ESI + 0, Reg::R13 + 0)
+            .load(Reg::R13, Reg::R13 + 0, Width::W8)
+            .addi(Reg::ECX, 1)
+            .cmpi(Reg::ECX, 64)
+            .br_lt(body, done);
+        pb.block(done).ret();
+        let _ = f;
+        let p = pb.finish();
+        let cmp_pc = p.blocks[body.index()].insn_pc(1);
+        let rows = umi_analyze::absint_program(&p, &geom(), &geom_l2());
+        let verdicts: Vec<Verdict> = rows
+            .iter()
+            .filter(|r| r.pc == cmp_pc && !r.is_store)
+            .map(|r| r.l1)
+            .collect();
+        assert_eq!(verdicts, vec![Verdict::AlwaysHit, Verdict::Unclassified]);
+        let diags = check(&p);
+        assert_eq!(kinds(&diags), vec![CheckKind::StrideMismatch]);
+        assert!(diags[0].message.contains("loop-invariant"));
     }
 
     #[test]

@@ -27,10 +27,7 @@
 //! [`inject_prefetches`]: crate::inject_prefetches
 
 use crate::plan::{PlanEntry, PrefetchPlan};
-use std::collections::BTreeMap;
-use umi_analyze::{
-    classify_program, compose_program, CacheGeometry, Delinquency, StaticClass, StaticReport,
-};
+use umi_analyze::{CacheGeometry, Delinquency, ProgramFacts, StaticClass, StaticRef, StaticReport};
 use umi_cache::{MIN_PREFETCH_DISTANCE_BYTES, PAGE_BYTES, PENTIUM4_MEMORY_CYCLES};
 use umi_ir::{Pc, Program};
 
@@ -89,47 +86,39 @@ pub fn static_prefetch_plan(
     l2: &CacheGeometry,
     hot_miss_floor: f64,
 ) -> StaticPlanReport {
-    let report = compose_program(program, l1, l2, hot_miss_floor);
+    let facts = ProgramFacts::new(program);
+    let report = facts.compose(l1, l2, hot_miss_floor);
 
-    // Stride per hot load pc: every load site at the pc must agree on a
-    // single proven constant stride, else the pc is unplannable.
-    let mut strides: BTreeMap<Pc, Option<i64>> = BTreeMap::new();
-    for r in classify_program(program) {
-        if r.is_store {
-            continue;
-        }
-        let s = match r.class {
-            StaticClass::ConstantStride(s) if s != 0 => Some(s),
-            _ => None,
-        };
-        strides
-            .entry(r.pc)
-            .and_modify(|cur| {
-                if *cur != s {
-                    *cur = None;
-                }
-            })
-            .or_insert(s);
-    }
-
-    let mut block_len: BTreeMap<Pc, usize> = BTreeMap::new();
-    for block in &program.blocks {
-        for i in 0..block.insns.len() {
-            block_len.insert(block.insn_pc(i), block.insns.len());
-        }
-    }
+    // Stride and block length per load pc: every load site at the pc
+    // must agree on a single proven constant stride, else the pc is
+    // unplannable. The classified refs are pc-sorted, so each pc's load
+    // sites form one run.
+    let stride_of = |r: &StaticRef| match r.class {
+        StaticClass::ConstantStride(s) if s != 0 => Some(s),
+        _ => None,
+    };
+    let loads: Vec<&StaticRef> = facts.refs().iter().filter(|r| !r.is_store).collect();
+    let strides: Vec<(Pc, Option<i64>, usize)> = loads
+        .chunk_by(|a, b| a.pc == b.pc)
+        .map(|run| {
+            let s = stride_of(run[0]);
+            let agreed = run.iter().all(|r| stride_of(r) == s).then_some(s).flatten();
+            (run[0].pc, agreed, program.block(run[0].block).insns.len())
+        })
+        .collect();
 
     let mut entries = Vec::new();
     for d in &report.delinquency {
         if d.is_store || d.label != Delinquency::PredictHot {
             continue;
         }
-        let Some(Some(stride)) = strides.get(&d.pc).copied() else {
+        let i = strides.partition_point(|&(pc, _, _)| pc < d.pc);
+        let Some(&(_, Some(stride), len)) = strides.get(i).filter(|e| e.0 == d.pc) else {
             continue;
         };
         // One cycle per instruction of the surrounding block per
         // iteration: how many references ahead covers a memory miss.
-        let len = block_len.get(&d.pc).copied().unwrap_or(1).max(1) as u64;
+        let len = len.max(1) as u64;
         let refs = PENTIUM4_MEMORY_CYCLES.div_ceil(len) as i64;
         let raw = stride.saturating_mul(refs);
         let magnitude = raw

@@ -24,6 +24,16 @@ trap 'rm -rf "$tmp"' EXIT
 
 harnesses="table6 table4 fig3 table_static umi_lint table_absint table_staticplan cache_sink table_profile vm_dispatch"
 
+# The three static gates also rewrite machine-readable copies of their
+# results: per-workload verdict, reason-code and interval counts that the
+# stdout goldens only summarise. Keep the checked-out copies so the
+# regenerated files can be required to match them byte for byte.
+json="umi_absint umi_staticplan umi_lint"
+mkdir "$tmp/json"
+for j in $json; do
+    cp "results/$j.json" "$tmp/json/$j.json"
+done
+
 for bin in $harnesses; do
     UMI_SCALE=test UMI_JOBS=2 ./target/release/$bin > "$tmp/$bin.txt"
     if ! diff -u "results/golden/$bin.txt" "$tmp/$bin.txt"; then
@@ -32,6 +42,14 @@ for bin in $harnesses; do
     fi
     echo "smoke: $bin matches golden output"
 done
+
+for j in $json; do
+    if ! diff -u "$tmp/json/$j.json" "results/$j.json"; then
+        echo "smoke: regenerated results/$j.json differs from the committed copy" >&2
+        exit 1
+    fi
+done
+echo "smoke: results/{$(echo $json | tr ' ' ',')}.json match the committed copies"
 
 # Golden coverage: every file under results/golden/ must have been
 # diffed above. A golden nobody compares against is a gate that silently
