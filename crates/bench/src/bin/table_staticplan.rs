@@ -29,7 +29,7 @@
 use std::collections::BTreeSet;
 use umi_analyze::{render_errors, verify};
 use umi_bench::engine::{Cell, Harness};
-use umi_bench::staticplan_audit::audit_staticplan;
+use umi_bench::staticplan_audit::audit_report;
 use umi_bench::{geomean, mean, scale_from_env};
 use umi_cache::CacheConfig;
 use umi_core::{introspect_cached, UmiConfig};
@@ -84,8 +84,14 @@ fn gate_workload(program: &umi_ir::Program, name: &str) -> (Row, u64) {
     let floor = config.delinquency_floor;
     let platform = Platform::pentium4();
 
+    // The static planner composes the program once; experiment 1
+    // audits that composition and experiment 2 plans from it.
+    let l1 = CacheConfig::pentium4_l1d();
+    let l2 = CacheConfig::pentium4_l2();
+    let static_plan = static_prefetch_plan(program, &l1.geometry(), &l2.geometry(), floor);
+
     // Experiment 1: every composed interval against exact simulation.
-    let audit = audit_staticplan(program, floor);
+    let audit = audit_report(program, &static_plan.report, l1, l2);
     let mut insns = audit.insns;
     let mut violations = 0usize;
     for v in audit.violations() {
@@ -98,10 +104,6 @@ fn gate_workload(program: &umi_ir::Program, name: &str) -> (Row, u64) {
     }
 
     // Experiment 2: static plan vs dynamic plan through one rewriter.
-    let l1 = CacheConfig::pentium4_l1d().geometry();
-    let l2 = CacheConfig::pentium4_l2().geometry();
-    let static_plan = static_prefetch_plan(program, &l1, &l2, floor);
-
     // The profiling pass doubles as the native baseline (the DBI
     // forwards the exact demand stream; overhead cycles are left out —
     // both plans are measured plan-only, through native runs).

@@ -22,6 +22,7 @@
 //! The lower bounds assume a run that completes (the VM runs to `Halt`
 //! here, so the assumption is discharged by construction).
 
+use std::borrow::Borrow;
 use umi_analyze::{compose_program, PcMissBound, StaticReport};
 use umi_cache::{CacheConfig, FullSimulator};
 use umi_ir::Program;
@@ -87,10 +88,14 @@ fn in_exec(n: u64, b: &PcMissBound) -> bool {
 
 /// The result of auditing one program: the composed report, every
 /// group's evaluated intervals, and the measured aggregates.
+///
+/// The report is owned by default; [`audit_report`] also audits a
+/// report borrowed from elsewhere, such as the one a
+/// [`umi_prefetch::StaticPlanReport`] carries.
 #[derive(Debug)]
-pub struct StaticPlanAudit {
+pub struct StaticPlanAudit<R = StaticReport> {
     /// The composed static report under audit.
-    pub report: StaticReport,
+    pub report: R,
     /// Every composed group next to its measured counts.
     pub checked: Vec<BoundCheck>,
     /// Measured totals over the audited groups: accesses, L1 misses,
@@ -102,7 +107,7 @@ pub struct StaticPlanAudit {
     pub insns: u64,
 }
 
-impl StaticPlanAudit {
+impl<R> StaticPlanAudit<R> {
     /// The groups whose intervals the simulation escaped.
     pub fn violations(&self) -> impl Iterator<Item = &BoundCheck> {
         self.checked.iter().filter(|c| !c.ok())
@@ -140,12 +145,25 @@ pub fn audit_staticplan_with(
     hot_miss_floor: f64,
 ) -> StaticPlanAudit {
     let report = compose_program(program, &l1.geometry(), &l2.geometry(), hot_miss_floor);
+    audit_report(program, report, l1, l2)
+}
+
+/// Audits an already composed `report` of `program` — owned or
+/// borrowed — against one run to completion under the exact simulator
+/// at `l1`/`l2`, which must be the geometry the report was composed at.
+pub fn audit_report<R: Borrow<StaticReport>>(
+    program: &Program,
+    report: R,
+    l1: CacheConfig,
+    l2: CacheConfig,
+) -> StaticPlanAudit<R> {
     let mut sim = FullSimulator::new(l1, l2).with_l1_audit();
     let result = Vm::new(program).run(&mut sim, u64::MAX);
 
-    let mut checked = Vec::with_capacity(report.per_pc.len());
+    let composed = report.borrow();
+    let mut checked = Vec::with_capacity(composed.per_pc.len());
     let mut totals = (0u64, 0u64, 0u64);
-    for bound in &report.per_pc {
+    for bound in &composed.per_pc {
         let l1t = sim.l1_per_pc().get(bound.pc);
         let mem = sim.per_pc().get(bound.pc);
         let (accesses, l1_misses, mem_misses) = if bound.is_store {
@@ -163,10 +181,10 @@ pub fn audit_staticplan_with(
             mem_misses,
         });
     }
-    let aggregate_ok = totals.0 >= report.accesses.min
-        && report.accesses.max.is_none_or(|h| totals.0 <= h)
-        && report.l1.contains(totals.1)
-        && report.mem.contains(totals.2);
+    let aggregate_ok = totals.0 >= composed.accesses.min
+        && composed.accesses.max.is_none_or(|h| totals.0 <= h)
+        && composed.l1.contains(totals.1)
+        && composed.mem.contains(totals.2);
     StaticPlanAudit {
         report,
         checked,

@@ -36,9 +36,13 @@
 //! Diagnostics are stably ordered by `(pc, kind, block)`, like the
 //! `umi-analyze` lint suite they feed into the `umi_lint` CI gate with.
 
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::fmt;
-use umi_analyze::{CacheGeometry, Delinquency, ProgramFacts, Severity, StaticClass, Verdict};
+use umi_analyze::{
+    CacheBehavior, CacheGeometry, CachePrediction, Delinquency, ProgramFacts, Severity,
+    StaticClass, Verdict,
+};
 use umi_cache::{MIN_PREFETCH_DISTANCE_BYTES, PAGE_BYTES};
 use umi_ir::{BlockId, Insn, MemRef, Pc, Program, Reg};
 
@@ -139,6 +143,13 @@ impl ExprShape {
 /// ([`umi_analyze::absint_program`]) needs to certify AlwaysMiss
 /// verdicts.
 ///
+/// The must-cache verdicts are computed only when a diagnostic reads
+/// one: a hint reads its guarded load's verdict (the
+/// `PointlessPrefetch` check), and a `MissedCandidate` reads its load's
+/// verdict to say whether the must-analysis confirms it. A program
+/// with no hint and no missed candidate — most programs a static plan
+/// leaves untouched — never runs the abstract interpreter.
+///
 /// The result is sorted by `(pc, kind, block)` and deterministic.
 pub fn check_rewritten(
     program: &Program,
@@ -146,16 +157,52 @@ pub fn check_rewritten(
     l2: &CacheGeometry,
     hot_miss_floor: f64,
 ) -> Vec<PlanDiagnostic> {
-    // The must analysis runs before the predictor classifies the
-    // references, so its working set never coexists with theirs.
     let facts = ProgramFacts::new(program);
-    let rows = facts.absint(geom, l2);
+    let rows = OnceCell::new();
+    let absint = || rows.get_or_init(|| facts.absint(geom, l2));
+    // Every hint reads a verdict, so a program with hints runs the must
+    // analysis before the predictor classifies the references: its
+    // working set never coexists with theirs. A hint-free program runs
+    // it at its first uncovered predicted-hot load, if it has one.
+    let has_hints = program
+        .blocks
+        .iter()
+        .flat_map(|b| &b.insns)
+        .any(|i| matches!(i, Insn::Prefetch { .. }));
+    if has_hints {
+        absint();
+    }
     let preds = facts.predict(geom, hot_miss_floor);
+    diagnose(program, geom, facts.innermost(), &preds, |pc| {
+        load_verdict(absint(), pc)
+    })
+}
+
+/// The proven steady-state L1 verdict of the load pc `pc` in the
+/// `(pc, is_store)`-sorted must-analysis `rows`. An instruction can
+/// issue two load sites with different verdicts; like the soundness
+/// audit, treat the pc as proven only when every load site agrees.
+fn load_verdict(rows: &[CacheBehavior], pc: Pc) -> Option<Verdict> {
+    let i = rows.partition_point(|r| (r.pc, r.is_store) < (pc, false));
+    let mut loads = rows[i..].iter().take_while(|r| r.pc == pc && !r.is_store);
+    let first = loads.next()?.l1;
+    loads.all(|r| r.l1 == first).then_some(first)
+}
+
+/// The checks themselves, over the program's innermost-loop map, its
+/// delinquency predictions and a per-load-pc verdict lookup.
+fn diagnose(
+    program: &Program,
+    geom: &CacheGeometry,
+    innermost: &[Option<(usize, usize)>],
+    preds: &[CachePrediction],
+    verdict_of: impl Fn(Pc) -> Option<Verdict>,
+) -> Vec<PlanDiagnostic> {
     let mut out = Vec::new();
 
-    // Classification per load pc (loads only: hints guard loads). Both
-    // tables are `(pc, is_store)`-sorted, loads first at one pc, so a
-    // pc's load sites are one run found by binary search.
+    // Classification per load pc (loads only: hints guard loads). The
+    // table is `(pc, is_store)`-sorted, loads first at one pc, so a pc's
+    // load sites are one run found by binary search.
     let class_of = |pc: Pc| {
         let i = preds.partition_point(|p| (p.sref.pc, p.sref.is_store) < (pc, false));
         preds
@@ -163,20 +210,10 @@ pub fn check_rewritten(
             .filter(|p| p.sref.pc == pc && !p.sref.is_store)
             .map(|p| p.sref.class)
     };
-    // Proven steady-state L1 verdict per load pc. An instruction can
-    // issue two load sites with different verdicts; like the soundness
-    // audit, treat the pc as proven only when every load site agrees.
-    let verdict_of = |pc: Pc| {
-        let i = rows.partition_point(|r| (r.pc, r.is_store) < (pc, false));
-        let mut loads = rows[i..].iter().take_while(|r| r.pc == pc && !r.is_store);
-        let first = loads.next()?.l1;
-        loads.all(|r| r.l1 == first).then_some(first)
-    };
 
     // Hints grouped per innermost loop for the redundancy / coverage
     // checks. Blocks outside any loop group per block: a straight-line
     // duplicate pair is just as redundant.
-    let innermost = facts.innermost();
     let group_of = |block: BlockId| {
         innermost[block.index()].map_or((usize::MAX, block.index()), |(f, l)| (f, l))
     };
@@ -290,7 +327,7 @@ pub fn check_rewritten(
     }
 
     // Coverage: predicted-hot strided loads with no hint in their loop.
-    for p in &preds {
+    for p in preds {
         if p.sref.is_store
             || p.sref.filtered
             || p.verdict != Delinquency::PredictHot
@@ -353,6 +390,23 @@ mod tests {
 
     fn check(p: &Program) -> Vec<PlanDiagnostic> {
         check_rewritten(p, &geom(), &geom_l2(), 0.10)
+    }
+
+    /// The reference checker: the must analysis runs up front on every
+    /// program, before the predictor, whether or not a verdict is read.
+    /// The differential tests hold [`check_rewritten`] to it.
+    fn check_rewritten_eager(
+        program: &Program,
+        geom: &CacheGeometry,
+        l2: &CacheGeometry,
+        hot_miss_floor: f64,
+    ) -> Vec<PlanDiagnostic> {
+        let facts = ProgramFacts::new(program);
+        let rows = facts.absint(geom, l2);
+        let preds = facts.predict(geom, hot_miss_floor);
+        diagnose(program, geom, facts.innermost(), &preds, |pc| {
+            load_verdict(&rows, pc)
+        })
     }
 
     /// A hot streaming loop: load [esi]; esi += 64, 64K iterations.
@@ -609,6 +663,82 @@ mod tests {
         pb.block(done).ret();
         let _ = f;
         assert_eq!(check(&pb.finish()), Vec::new());
+    }
+
+    /// A loop over one loop-invariant load and one pointer chase,
+    /// optionally with a hint planted before the invariant load.
+    fn invariant_and_chase(hint: bool) -> Program {
+        let mut pb = ProgramBuilder::new();
+        let f = pb.begin_func("main");
+        let body = pb.new_block();
+        let done = pb.new_block();
+        pb.block(f.entry())
+            .movi(Reg::ECX, 0)
+            .alloc(Reg::ESI, 4096)
+            .alloc(Reg::R13, 4096)
+            .jmp(body);
+        let mut b = pb.block(body);
+        if hint {
+            b = b.prefetch(Reg::ESI + 256);
+        }
+        b.load(Reg::EAX, Reg::ESI + 0, Width::W8)
+            .load(Reg::R13, Reg::R13 + 0, Width::W8)
+            .addi(Reg::ECX, 1)
+            .cmpi(Reg::ECX, 1000)
+            .br_lt(body, done);
+        pb.block(done).ret();
+        let _ = f;
+        pb.finish()
+    }
+
+    #[test]
+    fn hint_free_program_without_hot_strided_loads_is_clean() {
+        // Neither load is a predicted-hot constant-stride load, so no
+        // diagnostic reads a verdict.
+        assert_eq!(check(&invariant_and_chase(false)), Vec::new());
+    }
+
+    #[test]
+    fn hint_on_a_proven_resident_load_is_pointless() {
+        // The same loop with a hint: the hint reads its guarded load's
+        // verdict, which the must analysis proves AlwaysHit.
+        let p = invariant_and_chase(true);
+        let diags = check(&p);
+        assert_eq!(
+            kinds(&diags),
+            vec![CheckKind::StrideMismatch, CheckKind::PointlessPrefetch]
+        );
+        assert!(diags[1].message.contains("provably hits L1"));
+        assert_eq!(diags, check_rewritten_eager(&p, &geom(), &geom_l2(), 0.10));
+    }
+
+    /// The on-demand checker agrees with the eager oracle on every suite
+    /// workload at test scale, both on the original program (no hints)
+    /// and on its static-plan rewrite (hints on about half the suite),
+    /// at the Pentium 4 geometry and delinquency floor the harnesses use.
+    #[test]
+    fn on_demand_verdicts_match_the_eager_checker_on_the_suite() {
+        let (l1, l2) = (
+            umi_cache::CacheConfig::pentium4_l1d().geometry(),
+            umi_cache::CacheConfig::pentium4_l2().geometry(),
+        );
+        let floor = umi_core::UmiConfig::no_sampling().delinquency_floor;
+        let mut hinted = 0;
+        for spec in umi_workloads::all32() {
+            let program = spec.build(umi_workloads::Scale::Test);
+            let plan = crate::static_prefetch_plan(&program, &l1, &l2, floor).plan();
+            hinted += usize::from(!plan.is_empty());
+            let rewritten = inject_prefetches(&program, &plan);
+            for p in [&program, &rewritten] {
+                assert_eq!(
+                    check_rewritten(p, &l1, &l2, floor),
+                    check_rewritten_eager(p, &l1, &l2, floor),
+                    "{}",
+                    spec.name
+                );
+            }
+        }
+        assert!(hinted > 0, "no suite workload was rewritten");
     }
 
     #[test]

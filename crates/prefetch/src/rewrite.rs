@@ -1,8 +1,9 @@
 //! Program rewriting: planting prefetch instructions.
 
 use crate::plan::PrefetchPlan;
+use std::cell::OnceCell;
 use umi_analyze::{analyze_program, innermost_loop_map, Cfg};
-use umi_ir::{BasicBlock, Insn, MemRef, Pc, Program, CODE_BASE};
+use umi_ir::{BasicBlock, BlockId, Insn, MemRef, Pc, Program, CODE_BASE};
 
 /// Coalescing radius for duplicate hints, in bytes. Both modeled
 /// platforms (Pentium 4 and K7 L2) use 64-byte lines, so two hints of
@@ -24,17 +25,26 @@ const COALESCE_LINE_BYTES: i64 = 64;
 /// overhead (flagged by [`crate::check_rewritten`] as
 /// `RedundantPrefetch` if planted).
 ///
+/// The coalescing groups come from the innermost-loop map, which needs
+/// the CFG, dominators and loop nests; they are built at the first
+/// planned load the walk meets, so a plan that names no load of
+/// `program` (an empty plan in particular) costs one layout pass.
+///
 /// Instruction addresses are re-laid out; the returned program is
 /// self-consistent but its `Pc`s differ from the original's wherever
 /// instructions were inserted.
 pub fn inject_prefetches(program: &Program, plan: &PrefetchPlan) -> Program {
-    let cfg = Cfg::build(program);
-    let funcs = analyze_program(program, &cfg);
-    let innermost = innermost_loop_map(program.blocks.len(), &funcs);
+    let innermost = OnceCell::new();
+    let group_of = |block: BlockId| {
+        let innermost = innermost.get_or_init(|| {
+            let cfg = Cfg::build(program);
+            innermost_loop_map(program.blocks.len(), &analyze_program(program, &cfg))
+        });
+        innermost[block.index()].unwrap_or((usize::MAX, block.index()))
+    };
 
     let mut blocks = Vec::with_capacity(program.blocks.len());
     let mut addr = CODE_BASE;
-    let mut injected = 0usize;
     /// One already-planted hint: its loop-or-block group plus the full
     /// target expression. Program order makes the survivor deterministic.
     struct Planted {
@@ -43,11 +53,11 @@ pub fn inject_prefetches(program: &Program, plan: &PrefetchPlan) -> Program {
     }
     let mut planted: Vec<Planted> = Vec::new();
     for block in &program.blocks {
-        let group = innermost[block.id.index()].unwrap_or((usize::MAX, block.id.index()));
         let mut insns = Vec::with_capacity(block.insns.len());
         for (pc, insn) in block.iter_with_pc() {
             if let Some(entry) = plan.get(pc) {
                 if let Some(mem) = prefetchable_ref(insn) {
+                    let group = group_of(block.id);
                     let target = MemRef {
                         disp: mem.disp.wrapping_add(entry.distance_bytes),
                         ..mem
@@ -62,7 +72,6 @@ pub fn inject_prefetches(program: &Program, plan: &PrefetchPlan) -> Program {
                     if !duplicate {
                         planted.push(Planted { group, target });
                         insns.push(Insn::Prefetch { mem: target });
-                        injected += 1;
                     }
                 }
             }
@@ -77,7 +86,6 @@ pub fn inject_prefetches(program: &Program, plan: &PrefetchPlan) -> Program {
         addr += new_block.byte_size();
         blocks.push(new_block);
     }
-    let _ = injected;
     Program {
         blocks,
         funcs: program.funcs.clone(),
@@ -289,5 +297,35 @@ mod tests {
         let rewritten = inject_prefetches(&p, &PrefetchPlan::default());
         assert_eq!(rewritten.static_insns(), p.static_insns());
         assert_eq!(rewritten.blocks.len(), p.blocks.len());
+    }
+
+    /// On every suite workload, an empty plan and a plan naming only
+    /// pcs that issue no load both plant nothing: the rewrite keeps
+    /// every block's instructions and terminator.
+    #[test]
+    fn plans_without_loads_leave_every_suite_program_unchanged() {
+        let entry = PlanEntry {
+            stride: 64,
+            distance_bytes: 256,
+        };
+        for spec in umi_workloads::all32() {
+            let p = spec.build(umi_workloads::Scale::Test);
+            let non_loads = PrefetchPlan::from_entries(
+                p.blocks
+                    .iter()
+                    .flat_map(|b| b.iter_with_pc())
+                    .filter(|(_, i)| !i.is_load())
+                    .map(|(pc, _)| (pc, entry)),
+            );
+            assert!(!non_loads.is_empty(), "{}", spec.name);
+            for plan in [PrefetchPlan::default(), non_loads] {
+                let rewritten = inject_prefetches(&p, &plan);
+                assert_eq!(rewritten.blocks.len(), p.blocks.len(), "{}", spec.name);
+                for (a, b) in p.blocks.iter().zip(&rewritten.blocks) {
+                    assert_eq!(a.insns, b.insns, "{} {}", spec.name, a.id);
+                    assert_eq!(a.terminator, b.terminator, "{} {}", spec.name, a.id);
+                }
+            }
+        }
     }
 }
