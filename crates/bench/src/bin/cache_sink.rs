@@ -15,11 +15,14 @@
 //! only, plus the sampled-vs-exact error panel — so the output is golden
 //! in `scripts/smoke.sh`. Wall-clock throughput goes to
 //! `results/BENCH_pipeline.json` via the shared [`Harness`], never to
-//! stdout. `insns` in that report counts sink *references* here (each
-//! pattern is consumed once per sink configuration).
+//! stdout. `insns` in that report counts sink *references* here: each
+//! pattern is replayed into fresh sinks, once per sink configuration,
+//! until the cell has run for
+//! [`MIN_CELL_TIME`](umi_bench::engine::MIN_CELL_TIME), and the printed
+//! counts come from the first replay.
 
 use std::sync::Arc;
-use umi_bench::engine::{Cell, Harness};
+use umi_bench::engine::{repeat_for_min_time, Cell, Harness};
 use umi_bench::scale_from_env;
 use umi_cache::{CacheConfig, CacheStats, FullSimulator};
 use umi_hw::{HwCounters, Machine, Platform, PrefetchSetting};
@@ -161,19 +164,16 @@ fn main() {
     let rows: Vec<Row> = harness.run(PATTERNS, |pattern| {
         let trace = pattern_trace(pattern, refs);
 
-        let mut exact = FullSimulator::pentium4();
-        trace.replay_into(&mut exact);
-        let mut sampled = FullSimulator::pentium4_sampled(SAMPLE_FACTOR);
-        trace.replay_into(&mut sampled);
-        let mut off = Machine::new(Platform::pentium4(), PrefetchSetting::Off);
-        trace.replay_into(&mut off);
-        let mut full = Machine::new(Platform::pentium4(), PrefetchSetting::Full);
-        trace.replay_into(&mut full);
-
-        Cell {
-            label: pattern.name.to_string(),
-            insns: 4 * trace.summary().accesses,
-            value: Row {
+        let (row, runs) = repeat_for_min_time(|| {
+            let mut exact = FullSimulator::pentium4();
+            trace.replay_into(&mut exact);
+            let mut sampled = FullSimulator::pentium4_sampled(SAMPLE_FACTOR);
+            trace.replay_into(&mut sampled);
+            let mut off = Machine::new(Platform::pentium4(), PrefetchSetting::Off);
+            trace.replay_into(&mut off);
+            let mut full = Machine::new(Platform::pentium4(), PrefetchSetting::Full);
+            trace.replay_into(&mut full);
+            Row {
                 l1: exact.l1_stats(),
                 l2: exact.l2_stats(),
                 exact_ratio: exact.l2_miss_ratio(),
@@ -182,7 +182,13 @@ fn main() {
                 off_stalls: off.stall_cycles(),
                 full: full.counters(),
                 full_stalls: full.stall_cycles(),
-            },
+            }
+        });
+
+        Cell {
+            label: pattern.name.to_string(),
+            insns: runs * 4 * trace.summary().accesses,
+            value: row,
         }
     });
 

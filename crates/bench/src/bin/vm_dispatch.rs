@@ -14,9 +14,12 @@
 //! dynamic micro-op dispatches per level, and the cross-engine agreement
 //! verdict — and is golden-checked by `scripts/smoke.sh`. Per-cell
 //! wall-clock (the actual insns/sec of each `kernel/engine` pair) goes
-//! to `results/BENCH_pipeline.json` via the shared [`Harness`].
+//! to `results/BENCH_pipeline.json` via the shared [`Harness`]; each
+//! cell reruns its kernel on a fresh VM until it has run for
+//! [`MIN_CELL_TIME`](umi_bench::engine::MIN_CELL_TIME), and the printed
+//! statistics come from the first run.
 
-use umi_bench::engine::{Cell, Harness};
+use umi_bench::engine::{repeat_for_min_time, Cell, Harness};
 use umi_bench::scale_from_env;
 use umi_ir::{FusionLevel, Program, ProgramBuilder, Reg, Width};
 use umi_vm::{NullSink, OpProfile, Vm, VmStats};
@@ -157,7 +160,7 @@ fn main() {
     let runs: Vec<Run> = harness.run(&cells, |&(k, e)| {
         let (name, build) = KERNELS[k];
         let program = build(scale);
-        let run = match ENGINES[e] {
+        let (run, reps) = repeat_for_min_time(|| match ENGINES[e] {
             "tree" => Run {
                 stats: {
                     let r = Vm::new(&program).run_tree(&mut NullSink, u64::MAX);
@@ -181,10 +184,10 @@ fn main() {
                     profile: vm.op_profile(),
                 }
             }
-        };
+        });
         Cell {
             label: format!("{name}/{}", ENGINES[e]),
-            insns: run.stats.insns,
+            insns: reps * run.stats.insns,
             value: run,
         }
     });

@@ -16,7 +16,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use umi_workloads::Scale;
 
@@ -138,6 +138,26 @@ where
     (values, stats)
 }
 
+/// Wall-clock floor for a microbenchmark cell: below it, the recorded
+/// rate is mostly timer resolution and scheduling noise.
+pub const MIN_CELL_TIME: Duration = Duration::from_millis(100);
+
+/// Runs `once` at least once and until [`MIN_CELL_TIME`] has passed,
+/// returning the first run's result and the number of runs. A
+/// microbenchmark cell prints the first run's counts, so its output does
+/// not depend on the repetition count, and reports `runs` times the
+/// per-run work, so its recorded rate covers every run.
+pub fn repeat_for_min_time<T>(mut once: impl FnMut() -> T) -> (T, u64) {
+    let start = Instant::now();
+    let first = once();
+    let mut runs = 1;
+    while start.elapsed() < MIN_CELL_TIME {
+        std::hint::black_box(once());
+        runs += 1;
+    }
+    (first, runs)
+}
+
 /// Shared per-binary scaffolding: job count, wall clock, and the cell
 /// stats that become this harness's entry in `results/BENCH_pipeline.json`.
 pub struct Harness {
@@ -218,6 +238,18 @@ mod tests {
             let expected: Vec<_> = seq_stats.iter().map(|s| s.label.clone()).collect();
             assert_eq!(labels, expected, "stats must stay in input order");
         }
+    }
+
+    #[test]
+    fn repeats_until_the_floor_and_returns_the_first_run() {
+        let mut n = 0u64;
+        let start = Instant::now();
+        let (first, runs) = repeat_for_min_time(|| {
+            n += 1;
+            n
+        });
+        assert!(start.elapsed() >= MIN_CELL_TIME);
+        assert_eq!((first, runs), (1, n));
     }
 
     #[test]

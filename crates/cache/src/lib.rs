@@ -3,9 +3,11 @@
 //! Provides the cache machinery every other layer builds on:
 //!
 //! * [`SetAssocCache`] — a set-associative cache with LRU (default), FIFO
-//!   or pseudo-random replacement, using a logical access counter as time,
-//!   exactly like the paper's mini-simulator (§5: "We use a counter to
-//!   simulate time").
+//!   or pseudo-random replacement. The paper's mini-simulator uses "a
+//!   counter to simulate time" (§5); a victim choice only ever compares
+//!   two lines' times, so each set here keeps its lines in that order
+//!   instead (most recent first under LRU, newest insertion first under
+//!   FIFO) and evicts the last one, with the same outcomes.
 //! * [`Hierarchy`] — an L1+L2 data-cache hierarchy used by the simulated
 //!   hardware platforms (`umi-hw`).
 //! * [`FullSimulator`] — the Cachegrind equivalent: a complete-trace

@@ -1,11 +1,14 @@
 //! The set-associative cache.
 //!
-//! State lives in a data-oriented (SoA) layout: one flat `u64` tag array
-//! scanned way-contiguously per set, logical LRU/FIFO time in its own
-//! array, and validity/dirtiness as one bitmask word per set. A set probe
-//! therefore touches a single host cache line of tags instead of a strided
-//! walk over four-field `Line` structs, and the victim scan only loads the
-//! time array on an actual miss.
+//! Each set keeps its resident lines in replacement order, the way
+//! Cachegrind keeps its tags: one flat `u64` array holds every set's
+//! entries back to back, and the valid lines of a set are the prefix of
+//! its entries whose length is the set's byte in `lens`. Under LRU the
+//! prefix runs most- to least-recently used, under FIFO newest to oldest
+//! insertion, and under Random a position is a way. A repeat reference
+//! to the most recent line is therefore the first compare, and the LRU
+//! or FIFO victim is always the last entry, so no timestamp, clock or
+//! victim scan exists.
 
 use crate::config::{CacheConfig, ReplacementPolicy};
 use crate::stats::CacheStats;
@@ -22,22 +25,22 @@ pub struct AccessOutcome {
 /// A set-associative cache over line-aligned addresses.
 ///
 /// Mirrors the paper's mini-simulator (§5): each reference maps to a set,
-/// the tag is compared against every line in the set; on a hit the line's
-/// recorded time is updated; on a miss an empty or the oldest line receives
-/// the tag. Time is a logical counter.
+/// the tag is compared against every line in the set; on a hit the line
+/// becomes the most recent; on a miss an empty or the least recent line
+/// receives the tag. The paper's "counter to simulate time" is kept as
+/// an order rather than as numbers: only the comparisons between lines'
+/// times ever decided anything, and the order is exactly those.
 #[derive(Clone, Debug)]
 pub struct SetAssocCache {
     config: CacheConfig,
-    /// Per-line tags, sets back to back, ways contiguous within a set.
-    tags: Vec<u64>,
-    /// Per-line logical time (LRU refresh time / FIFO insertion time).
-    times: Vec<u64>,
-    /// Per-set validity bitmask: bit `w` of `valid[s]` is way `w` of set
-    /// `s` (associativity is capped at 64 ways by [`SetAssocCache::new`]).
-    valid: Vec<u64>,
-    /// Per-set dirty bitmask, same bit assignment as `valid`.
-    dirty: Vec<u64>,
-    clock: u64,
+    /// Per-line `tag << 1 | dirty`, sets back to back. Within a set the
+    /// first `lens[set]` entries are the valid lines in replacement
+    /// order (see the module doc); the rest are stale.
+    entries: Vec<u64>,
+    /// Per-set number of valid lines. The only invalidation is a whole
+    /// cache [`flush`](SetAssocCache::flush), and a fill never leaves a
+    /// gap, so the valid lines always form a prefix.
+    lens: Vec<u8>,
     stats: CacheStats,
     /// xorshift state for [`ReplacementPolicy::Random`].
     rng: u64,
@@ -48,18 +51,9 @@ pub struct SetAssocCache {
     set_mask: usize,
     /// `log2(sets)`.
     set_bits: u32,
-    /// Bitmask with one bit per way (`(1 << ways) - 1`, saturated).
-    ways_full: u64,
-    /// Line address of the most recently hit/filled line, for the MRU
-    /// fast path (sequential references within one line dominate demand
-    /// traffic). `u64::MAX` = no cached slot.
-    last_block: u64,
-    /// Index into `tags`/`times` of that line.
-    last_slot: usize,
-    /// Set index of that line (indexes `valid`/`dirty`).
-    last_set: usize,
-    /// Single-bit way mask of that line within its set's bitmask words.
-    last_bit: u64,
+    /// Index into `entries` of the line the last access hit or filled,
+    /// for [`reuse_mru`](SetAssocCache::reuse_mru).
+    last: usize,
 }
 
 impl SetAssocCache {
@@ -67,36 +61,32 @@ impl SetAssocCache {
     ///
     /// # Panics
     ///
-    /// Panics if the associativity exceeds 64 (the per-set valid/dirty
-    /// state is one bitmask word).
+    /// Panics if the associativity exceeds 255 (a set's valid length is
+    /// one byte), or if the geometry has one set of one-byte lines (the
+    /// tag would then be the whole address, leaving no bit for the dirty
+    /// flag packed beside it).
     pub fn new(config: CacheConfig) -> SetAssocCache {
         assert!(
-            config.ways <= 64,
-            "associativity {} exceeds the 64-way bitmask limit",
+            config.ways <= u8::MAX as usize,
+            "associativity {} exceeds the 255-way limit of a set's one-byte length",
             config.ways
         );
-        let lines = config.sets * config.ways;
+        let line_shift = config.line_size.trailing_zeros();
+        let set_bits = config.sets.trailing_zeros();
+        assert!(
+            line_shift + set_bits >= 1,
+            "one set of one-byte lines leaves no tag bit for the dirty flag"
+        );
         SetAssocCache {
             config,
-            tags: vec![0; lines],
-            times: vec![0; lines],
-            valid: vec![0; config.sets],
-            dirty: vec![0; config.sets],
-            clock: 0,
+            entries: vec![0; config.sets * config.ways],
+            lens: vec![0; config.sets],
             stats: CacheStats::default(),
             rng: 0x9e37_79b9_7f4a_7c15,
-            line_shift: config.line_size.trailing_zeros(),
+            line_shift,
             set_mask: config.sets - 1,
-            set_bits: config.sets.trailing_zeros(),
-            ways_full: if config.ways == 64 {
-                u64::MAX
-            } else {
-                (1u64 << config.ways) - 1
-            },
-            last_block: u64::MAX,
-            last_slot: 0,
-            last_set: 0,
-            last_bit: 0,
+            set_bits,
+            last: 0,
         }
     }
 
@@ -136,122 +126,73 @@ impl SetAssocCache {
     }
 
     /// `COUNT` selects whether the access updates demand statistics: the
-    /// demand path counts, the prefetch-fill path does not. Replacement
-    /// state, the logical clock, and the Random-policy rng advance
-    /// identically either way.
+    /// demand path counts, the prefetch-fill path does not. The
+    /// replacement order and the Random-policy rng advance identically
+    /// either way.
     #[inline]
     fn access_inner<const COUNT: bool>(&mut self, addr: u64, write: bool) -> AccessOutcome {
-        self.clock += 1;
-        let clock = self.clock;
         let block = addr >> self.line_shift;
         let tag = block >> self.set_bits;
-        // MRU fast path: a repeat reference to the line hit or filled last
-        // time skips the set scan. The valid/tag re-check makes the cached
-        // slot self-invalidating (eviction or flush changes either), so
-        // outcomes and replacement state are identical to the full scan.
-        if block == self.last_block
-            && self.valid[self.last_set] & self.last_bit != 0
-            && self.tags[self.last_slot] == tag
-        {
-            if COUNT {
-                self.stats.accesses += 1;
-            }
-            if self.config.policy == ReplacementPolicy::Lru {
-                self.times[self.last_slot] = clock;
-            }
-            if write {
-                self.dirty[self.last_set] |= self.last_bit;
-            }
-            return AccessOutcome {
-                hit: true,
-                evicted: None,
-            };
-        }
-        let ways = self.config.ways;
         let set = block as usize & self.set_mask;
+        let ways = self.config.ways;
         let base = set * ways;
-        let vword = self.valid[set];
+        let len = self.lens[set] as usize;
+        let set_entries = &mut self.entries[base..base + ways];
+        let valid = &mut set_entries[..len];
 
         if COUNT {
             self.stats.accesses += 1;
         }
-        // Hit scan: tags of valid ways only, lowest way first. Only the
-        // tag array is touched until the outcome is known.
-        let mut m = vword;
-        while m != 0 {
-            let w = m.trailing_zeros() as usize;
-            if self.tags[base + w] == tag {
+        for i in 0..valid.len() {
+            if valid[i] >> 1 == tag {
+                let hit = valid[i] | write as u64;
                 if self.config.policy == ReplacementPolicy::Lru {
-                    self.times[base + w] = clock; // LRU refresh; FIFO keeps insert time
+                    // Move to the front; FIFO and Random never reorder.
+                    insert_front(valid, i, hit);
+                    self.last = base;
+                } else {
+                    valid[i] = hit;
+                    self.last = base + i;
                 }
-                if write {
-                    self.dirty[set] |= 1u64 << w;
-                }
-                self.last_block = block;
-                self.last_slot = base + w;
-                self.last_set = set;
-                self.last_bit = 1u64 << w;
                 return AccessOutcome {
                     hit: true,
                     evicted: None,
                 };
             }
-            m &= m - 1;
         }
         if COUNT {
             self.stats.misses += 1;
         }
 
-        // Miss: prefer the first invalid way, else the policy's victim
-        // (for LRU/FIFO the first way with the minimal time — the time
-        // array is only read here, on the miss path).
-        let victim = if vword != self.ways_full {
-            (!vword).trailing_zeros() as usize
+        let line = (tag << 1) | write as u64;
+        let (pos, victim) = if len < ways {
+            self.lens[set] += 1;
+            (len, None)
+        } else if self.config.policy == ReplacementPolicy::Random {
+            // xorshift64*
+            self.rng ^= self.rng << 13;
+            self.rng ^= self.rng >> 7;
+            self.rng ^= self.rng << 17;
+            let w = (self.rng % ways as u64) as usize;
+            (w, Some(set_entries[w]))
         } else {
-            match self.config.policy {
-                ReplacementPolicy::Lru | ReplacementPolicy::Fifo => {
-                    let mut oldest = 0usize;
-                    let mut oldest_time = self.times[base];
-                    for w in 1..ways {
-                        if self.times[base + w] < oldest_time {
-                            oldest_time = self.times[base + w];
-                            oldest = w;
-                        }
-                    }
-                    oldest
-                }
-                ReplacementPolicy::Random => {
-                    // xorshift64*
-                    self.rng ^= self.rng << 13;
-                    self.rng ^= self.rng >> 7;
-                    self.rng ^= self.rng << 17;
-                    (self.rng % ways as u64) as usize
-                }
-            }
+            (ways - 1, Some(set_entries[ways - 1]))
         };
-        let bit = 1u64 << victim;
-        let old_valid = vword & bit != 0;
-        let old_dirty = old_valid && self.dirty[set] & bit != 0;
-        let evicted = if old_valid {
-            if COUNT && old_dirty {
+        if self.config.policy == ReplacementPolicy::Random {
+            set_entries[pos] = line;
+            self.last = base + pos;
+        } else {
+            // LRU and FIFO insert at the front; `pos` is the first entry
+            // past the valid prefix or the evicted last one.
+            insert_front(set_entries, pos, line);
+            self.last = base;
+        }
+        let evicted = victim.map(|old| {
+            if COUNT && old & 1 != 0 {
                 self.stats.writebacks += 1;
             }
-            Some(self.reconstruct_addr(addr, self.tags[base + victim]))
-        } else {
-            None
-        };
-        self.tags[base + victim] = tag;
-        self.times[base + victim] = clock;
-        self.valid[set] |= bit;
-        if write {
-            self.dirty[set] |= bit;
-        } else {
-            self.dirty[set] &= !bit;
-        }
-        self.last_block = block;
-        self.last_slot = base + victim;
-        self.last_set = set;
-        self.last_bit = bit;
+            (((old >> 1) << self.set_bits) | set as u64) << self.line_shift
+        });
         AccessOutcome {
             hit: false,
             evicted,
@@ -265,35 +206,32 @@ impl SetAssocCache {
     /// Equivalent to `n` calls of [`access`](Self::access) /
     /// [`access_write`](Self::access_write) on that line — all guaranteed
     /// hits — provided the line was hit or filled by the immediately
-    /// preceding access to *this* cache: each per-item call would bump the
-    /// clock and the access counter, OR the dirty bit, and leave the LRU
-    /// time at the final clock value, which is exactly what one bulk
-    /// update does.
+    /// preceding access to *this* cache. Each per-item hit would count an
+    /// access and OR the dirty bit, and would leave the order unchanged:
+    /// the line is already at the front under LRU and never moves on a
+    /// hit under FIFO or Random. The line's entry is the one that access
+    /// touched, which is at the front only under LRU.
     ///
     /// # Panics
     ///
-    /// Debug-asserts that the MRU slot is still valid (it cannot have
-    /// been evicted, since no access intervened).
+    /// Debug-asserts that the touched entry is still inside its set's
+    /// valid prefix, which fails when no access has happened yet or a
+    /// flush came after it.
     #[inline]
     pub fn reuse_mru(&mut self, n: u64, any_write: bool) {
         debug_assert!(
-            self.last_bit != 0 && self.valid[self.last_set] & self.last_bit != 0,
-            "reuse_mru without a preceding access"
+            self.last % self.config.ways < self.lens[self.last / self.config.ways] as usize,
+            "reuse_mru without a preceding access to a still-valid line"
         );
-        self.clock += n;
         self.stats.accesses += n;
-        if self.config.policy == ReplacementPolicy::Lru {
-            self.times[self.last_slot] = self.clock;
-        }
-        if any_write {
-            self.dirty[self.last_set] |= self.last_bit;
-        }
+        self.entries[self.last] |= any_write as u64;
     }
 
     /// Inserts the line containing `addr` without counting an access, a
     /// miss, or a writeback — used to model prefetch fills, which are not
-    /// demand traffic. Replacement state (clock, LRU times, Random rng,
-    /// MRU slot) advances exactly as a demand read would.
+    /// demand traffic. Replacement state (the set's order, the Random rng,
+    /// the entry [`reuse_mru`](Self::reuse_mru) targets) advances exactly
+    /// as a demand read would.
     pub fn fill(&mut self, addr: u64) -> Option<u64> {
         self.access_inner::<false>(addr, false).evicted
     }
@@ -305,32 +243,33 @@ impl SetAssocCache {
         let tag = block >> self.set_bits;
         let set = block as usize & self.set_mask;
         let base = set * self.config.ways;
-        let mut m = self.valid[set];
-        while m != 0 {
-            let w = m.trailing_zeros() as usize;
-            if self.tags[base + w] == tag {
-                return true;
-            }
-            m &= m - 1;
-        }
-        false
+        self.entries[base..base + self.lens[set] as usize]
+            .iter()
+            .any(|&e| e >> 1 == tag)
     }
 
     /// Invalidates every line (the analyzer's periodic flush, §5).
     pub fn flush(&mut self) {
-        self.valid.fill(0);
-        self.dirty.fill(0);
+        self.lens.fill(0);
     }
 
     /// Number of valid lines currently resident.
     pub fn resident_lines(&self) -> usize {
-        self.valid.iter().map(|w| w.count_ones() as usize).sum()
+        self.lens.iter().map(|&l| l as usize).sum()
     }
+}
 
-    fn reconstruct_addr(&self, probe_addr: u64, tag: u64) -> u64 {
-        let set = (probe_addr >> self.line_shift) & self.set_mask as u64;
-        ((tag << self.set_bits) | set) << self.line_shift
+/// Shifts `entries[..pos]` one place back, over `entries[pos]`, and puts
+/// `entry` at the front.
+#[inline]
+fn insert_front(entries: &mut [u64], pos: usize, entry: u64) {
+    let entries = &mut entries[..=pos];
+    let mut j = pos;
+    while j > 0 {
+        entries[j] = entries[j - 1];
+        j -= 1;
     }
+    entries[0] = entry;
 }
 
 #[cfg(test)]
@@ -424,8 +363,8 @@ mod tests {
 
     #[test]
     fn fill_advances_replacement_like_a_read() {
-        // Interleaving fills must leave clock/LRU state exactly as the
-        // stats-save/restore implementation did: the filled line is MRU.
+        // Interleaving fills must leave the LRU order exactly as a demand
+        // read would: the filled line is MRU.
         let mut c = tiny(ReplacementPolicy::Lru);
         c.access(set0(1));
         c.fill(set0(2)); // later logical time than tag 1
@@ -456,6 +395,82 @@ mod tests {
             let i = item.access(set0(3));
             assert_eq!(b, i, "{policy:?}: diverged after bulk reuse");
         }
+    }
+
+    /// Hits line `x` while it sits at the back of its two-line set,
+    /// coalesces a write onto it with `reuse_mru`, then evicts it with
+    /// fresh reads: the eviction must count exactly one writeback. Under
+    /// FIFO and Random the touched entry stays at the back, so a
+    /// `reuse_mru` that assumed the front would dirty the wrong line.
+    fn back_hit_then_reuse_writes_back(policy: ReplacementPolicy) {
+        let mut c = SetAssocCache::new(CacheConfig::new(1, 2, 64).policy(policy));
+        // LRU and FIFO hold [2, 1] (front first); Random holds 1 at way 0
+        // and 2 at way 1, so the back line is 1 or 2 respectively.
+        c.access(set0(1));
+        c.access(set0(2));
+        let x = if policy == ReplacementPolicy::Random {
+            2
+        } else {
+            1
+        };
+        assert!(c.access(set0(x)).hit);
+        c.reuse_mru(3, true);
+        assert_eq!(c.stats().accesses, 6);
+        let mut t = 3;
+        while c.probe(set0(x)) {
+            c.access(set0(t));
+            t += 1;
+        }
+        assert_eq!(c.stats().writebacks, 1, "{policy:?}: dirty bit lost");
+    }
+
+    #[test]
+    fn reuse_mru_after_back_hit_lru() {
+        back_hit_then_reuse_writes_back(ReplacementPolicy::Lru);
+    }
+
+    #[test]
+    fn reuse_mru_after_back_hit_fifo() {
+        back_hit_then_reuse_writes_back(ReplacementPolicy::Fifo);
+    }
+
+    #[test]
+    fn reuse_mru_after_back_hit_random() {
+        back_hit_then_reuse_writes_back(ReplacementPolicy::Random);
+    }
+
+    #[test]
+    #[should_panic(expected = "reuse_mru without a preceding access")]
+    #[cfg(debug_assertions)]
+    fn reuse_mru_after_flush_is_caught() {
+        let mut c = tiny(ReplacementPolicy::Lru);
+        c.access(0x0);
+        c.flush();
+        c.reuse_mru(1, true);
+    }
+
+    #[test]
+    fn top_address_bit_survives_smallest_geometries() {
+        // The smallest geometries `new` accepts: one set of two-byte
+        // lines, and two sets of one-byte lines. Addresses differing
+        // only in bit 63 must not alias, and a dirty line with bit 63 set
+        // must come back intact on eviction.
+        for (sets, line) in [(1, 2), (2, 1)] {
+            let mut c = SetAssocCache::new(CacheConfig::new(sets, 1, line));
+            let top = 1u64 << 63;
+            assert!(!c.access_write(top).hit);
+            let out = c.access(0);
+            assert!(!out.hit, "{sets}x{line}B: bit 63 was dropped");
+            assert_eq!(out.evicted, Some(top));
+            assert_eq!(c.stats().writebacks, 1);
+            assert_eq!(c.access(top).evicted, Some(0));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "no tag bit for the dirty flag")]
+    fn one_set_of_one_byte_lines_is_rejected() {
+        SetAssocCache::new(CacheConfig::new(1, 4, 1));
     }
 
     #[test]
