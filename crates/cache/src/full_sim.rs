@@ -73,14 +73,9 @@ pub struct FullSimulator {
     /// L1 line number of the most recent *simulated* demand reference
     /// (`u64::MAX` = none yet). A reference to the same line is a
     /// guaranteed L1 hit: the previous reference left the line resident
-    /// and nothing evicted it since.
+    /// and nothing evicted it since. The only run state that outlives a
+    /// sink call.
     cur_block: u64,
-    /// Deferred same-line L1 hits not yet applied to the hierarchy.
-    /// Always zero outside [`AccessSink::access_batch`], so every public
-    /// accessor observes settled state.
-    pending: u64,
-    /// Whether any deferred hit was a store (dirty-bit OR).
-    pending_write: bool,
     /// Set-sampling mask (`factor - 1`); zero = exact mode. A reference
     /// is simulated iff `line_number & sample_mask == 0`.
     sample_mask: u64,
@@ -107,8 +102,6 @@ impl FullSimulator {
             l2_stores: CacheStats::default(),
             l1_shift,
             cur_block: u64::MAX,
-            pending: 0,
-            pending_write: false,
             sample_mask: 0,
             track_per_pc: true,
             track_l1: false,
@@ -271,98 +264,44 @@ impl FullSimulator {
     pub fn delinquent_set(&self, x: f64) -> DelinquentSet {
         delinquent_set(&self.per_pc, x)
     }
+}
 
-    /// Applies deferred same-line hits to the L1. Called whenever a run
-    /// ends (and at batch end, so state is settled between sink calls).
+impl AccessSink for FullSimulator {
     #[inline]
-    fn flush_run(&mut self) {
-        if self.pending > 0 {
-            self.hierarchy
-                .l1_reuse_mru(self.pending, self.pending_write);
-            self.pending = 0;
-            self.pending_write = false;
-        }
+    fn access(&mut self, access: umi_ir::MemAccess) {
+        self.access_batch(std::slice::from_ref(&access));
     }
 
-    /// Simulates one demand reference; run tails bypass the hierarchy.
-    #[inline]
-    fn demand(&mut self, access: umi_ir::MemAccess) {
-        let is_store = access.kind == umi_ir::AccessKind::Store;
-        let block = access.addr >> self.l1_shift;
-        if block == self.cur_block {
-            // Same L1 line as the previous simulated reference: a
-            // guaranteed L1 hit — never reaches L2, never misses. Defer
-            // the L1 bookkeeping; only the per-pc table needs the item.
-            self.pending += 1;
-            self.pending_write |= is_store;
-            if self.track_per_pc {
-                self.per_pc.record(access.pc, is_store, false);
-            }
-            if self.track_l1 {
-                self.l1_per_pc.record(access.pc, is_store, false);
-            }
-            return;
-        }
-        self.flush_run();
-        self.cur_block = block;
-        let level = if is_store {
-            self.hierarchy.access_write(access.addr)
-        } else {
-            self.hierarchy.access(access.addr)
-        };
-        let l2_miss = level == HitLevel::Memory;
-        if self.track_per_pc {
-            self.per_pc.record(access.pc, is_store, l2_miss);
-        }
-        if self.track_l1 {
-            self.l1_per_pc
-                .record(access.pc, is_store, level != HitLevel::L1);
-        }
-        if level != HitLevel::L1 {
-            let l2 = if is_store {
-                &mut self.l2_stores
-            } else {
-                &mut self.l2_loads
-            };
-            l2.accesses += 1;
-            l2.misses += l2_miss as u64;
-        }
-    }
-
-    /// Demand filter + sampling filter, shared by both sink entry points.
+    /// The one access loop, for sampled and exact mode and for
+    /// [`access`](Self::access) as a one-element batch. The demand
+    /// filter, sampling filter, and per-pc routing are resolved per item,
+    /// but the hierarchy is only consulted once per same-line run: run
+    /// tails are counted in locals and settled as one `l1_reuse_mru` call
+    /// when the run ends or the batch does, so every public accessor
+    /// observes settled state between sink calls. The run detector
+    /// (`cur_block`) spans batch boundaries, so per-block batches of a
+    /// streaming loop coalesce into one lookup per line, not one per
+    /// block.
     ///
     /// The sampling filter keys on the line number, so every reference of
     /// a same-line run lands on the same side of it — a run is simulated
     /// or skipped as a whole, and the run invariant (previous *simulated*
     /// reference pinned the line) survives sampling.
-    #[inline]
-    fn consider(&mut self, access: umi_ir::MemAccess) {
-        if !access.is_demand() {
-            return;
-        }
-        if self.sample_mask != 0 && (access.addr >> self.l1_shift) & self.sample_mask != 0 {
-            return;
-        }
-        self.demand(access);
-    }
-
-    /// Exact-mode batch loop: item-for-item the same outcomes as
-    /// [`consider`](Self::consider) with sampling off, but the run
-    /// detector and deferred-run counters stay in locals across the whole
-    /// batch instead of bouncing through `&mut self` per reference. The
-    /// deferred run is settled before returning, so every public accessor
-    /// still observes settled state between sink calls.
-    fn batch_exact(&mut self, batch: &[umi_ir::MemAccess]) {
+    fn access_batch(&mut self, batch: &[umi_ir::MemAccess]) {
         let mut cur_block = self.cur_block;
-        let mut pending = self.pending;
-        let mut pending_write = self.pending_write;
+        let mut pending = 0u64;
+        let mut pending_write = false;
         for a in batch {
-            if !a.is_demand() {
+            let block = a.addr >> self.l1_shift;
+            if !a.is_demand() || block & self.sample_mask != 0 {
                 continue;
             }
             let is_store = a.kind == umi_ir::AccessKind::Store;
-            let block = a.addr >> self.l1_shift;
             if block == cur_block {
+                // Same L1 line as the previous simulated reference: a
+                // guaranteed L1 hit — never reaches L2, never misses.
+                // Defer the L1 bookkeeping; only the per-pc tables need
+                // the item.
                 pending += 1;
                 pending_write |= is_store;
                 if self.track_per_pc {
@@ -405,34 +344,6 @@ impl FullSimulator {
             self.hierarchy.l1_reuse_mru(pending, pending_write);
         }
         self.cur_block = cur_block;
-        self.pending = 0;
-        self.pending_write = false;
-    }
-}
-
-impl AccessSink for FullSimulator {
-    #[inline]
-    fn access(&mut self, access: umi_ir::MemAccess) {
-        self.consider(access);
-        self.flush_run();
-    }
-
-    fn access_batch(&mut self, batch: &[umi_ir::MemAccess]) {
-        // The demand filter, sampling filter, and per-pc routing are
-        // resolved per item, but the hierarchy is only consulted once per
-        // same-line run; the run detector (`cur_block`) spans batch
-        // boundaries, so per-block batches of a streaming loop coalesce
-        // into one lookup per line, not one per block. With sampling off
-        // (the exact mode every shipped harness runs) the batch loop keeps
-        // the run state in registers for the whole batch.
-        if self.sample_mask == 0 {
-            self.batch_exact(batch);
-            return;
-        }
-        for &access in batch {
-            self.consider(access);
-        }
-        self.flush_run();
     }
 }
 

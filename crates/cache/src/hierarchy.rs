@@ -97,8 +97,11 @@ impl Hierarchy {
     /// Installs the line containing `addr` into L2 only, without counting
     /// demand statistics — the effect of an L2 prefetch (both the Pentium 4
     /// hardware prefetcher and the paper's software prefetcher target L2).
-    pub fn prefetch_fill_l2(&mut self, addr: u64) {
-        self.l2.fill(addr);
+    /// Returns whether the line was installed: an already resident line
+    /// is left where it is in the replacement order
+    /// ([`SetAssocCache::fill`]).
+    pub fn prefetch_fill_l2(&mut self, addr: u64) -> bool {
+        self.l2.fill(addr)
     }
 
     /// Whether the line is resident in L2 (no state disturbed).
@@ -173,8 +176,9 @@ mod tests {
     #[test]
     fn prefetch_fill_turns_memory_into_l2_hit() {
         let mut h = p4();
-        h.prefetch_fill_l2(0x4000);
+        assert!(h.prefetch_fill_l2(0x4000));
         assert!(h.probe_l2(0x4000));
+        assert!(!h.prefetch_fill_l2(0x4000), "resident line installed twice");
         assert_eq!(h.access(0x4000), HitLevel::L2);
         assert_eq!(h.l2_stats().misses, 0);
     }

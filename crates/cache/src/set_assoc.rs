@@ -115,34 +115,26 @@ impl SetAssocCache {
     /// statistics.
     #[inline]
     pub fn access(&mut self, addr: u64) -> AccessOutcome {
-        self.access_inner::<true>(addr, false)
+        self.access_inner(addr, false)
     }
 
     /// References `addr` as a write: like [`access`](Self::access), and
     /// additionally marks the line dirty (write-back, write-allocate).
     #[inline]
     pub fn access_write(&mut self, addr: u64) -> AccessOutcome {
-        self.access_inner::<true>(addr, true)
+        self.access_inner(addr, true)
     }
 
-    /// `COUNT` selects whether the access updates demand statistics: the
-    /// demand path counts, the prefetch-fill path does not. The
-    /// replacement order and the Random-policy rng advance identically
-    /// either way.
-    #[inline]
-    fn access_inner<const COUNT: bool>(&mut self, addr: u64, write: bool) -> AccessOutcome {
-        let block = addr >> self.line_shift;
-        let tag = block >> self.set_bits;
-        let set = block as usize & self.set_mask;
-        let ways = self.config.ways;
-        let base = set * ways;
-        let len = self.lens[set] as usize;
-        let set_entries = &mut self.entries[base..base + ways];
-        let valid = &mut set_entries[..len];
+    /// One demand reference. Always inlined, like [`miss`](Self::miss):
+    /// the tag scan and the LRU move-to-front run in the caller, so a
+    /// reference makes no call.
+    #[inline(always)]
+    fn access_inner(&mut self, addr: u64, write: bool) -> AccessOutcome {
+        let (set, tag) = self.locate(addr);
+        let base = set * self.config.ways;
+        let valid = &mut self.entries[base..base + self.lens[set] as usize];
 
-        if COUNT {
-            self.stats.accesses += 1;
-        }
+        self.stats.accesses += 1;
         for i in 0..valid.len() {
             if valid[i] >> 1 == tag {
                 let hit = valid[i] | write as u64;
@@ -160,10 +152,26 @@ impl SetAssocCache {
                 };
             }
         }
+        self.miss::<true>(set, tag, write)
+    }
+
+    /// Installs `tag` into `set`, which does not hold it, evicting the
+    /// policy's victim if the set is full. `COUNT` selects whether the
+    /// miss updates demand statistics: the demand path counts, the
+    /// prefetch-fill path does not. The replacement order and the
+    /// Random-policy rng advance identically either way.
+    ///
+    /// Inlined too: keeping it out of line measured slower on the
+    /// prefetch-on `Machine`, whose L1 misses are frequent.
+    #[inline(always)]
+    fn miss<const COUNT: bool>(&mut self, set: usize, tag: u64, write: bool) -> AccessOutcome {
         if COUNT {
             self.stats.misses += 1;
         }
-
+        let ways = self.config.ways;
+        let base = set * ways;
+        let len = self.lens[set] as usize;
+        let set_entries = &mut self.entries[base..base + ways];
         let line = (tag << 1) | write as u64;
         let (pos, victim) = if len < ways {
             self.lens[set] += 1;
@@ -199,6 +207,22 @@ impl SetAssocCache {
         }
     }
 
+    /// The set and tag of the line containing `addr`.
+    #[inline(always)]
+    fn locate(&self, addr: u64) -> (usize, u64) {
+        let block = addr >> self.line_shift;
+        (block as usize & self.set_mask, block >> self.set_bits)
+    }
+
+    /// Whether `set` holds `tag`.
+    #[inline]
+    fn holds(&self, set: usize, tag: u64) -> bool {
+        let base = set * self.config.ways;
+        self.entries[base..base + self.lens[set] as usize]
+            .iter()
+            .any(|&e| e >> 1 == tag)
+    }
+
     /// Re-references the most recently accessed line `n` more times
     /// (`any_write` = whether any of them writes), without scanning the
     /// set: the batch consumers' run-coalescing primitive.
@@ -227,25 +251,28 @@ impl SetAssocCache {
         self.entries[self.last] |= any_write as u64;
     }
 
-    /// Inserts the line containing `addr` without counting an access, a
-    /// miss, or a writeback — used to model prefetch fills, which are not
-    /// demand traffic. Replacement state (the set's order, the Random rng,
-    /// the entry [`reuse_mru`](Self::reuse_mru) targets) advances exactly
-    /// as a demand read would.
-    pub fn fill(&mut self, addr: u64) -> Option<u64> {
-        self.access_inner::<false>(addr, false).evicted
+    /// Inserts the line containing `addr` unless it is already resident,
+    /// without counting an access, a miss, or a writeback — used to model
+    /// prefetch fills, which are not demand traffic — and reports whether
+    /// it inserted, so a prefetch install is decided and done in one scan
+    /// of the set. A resident line keeps its place in the replacement
+    /// order. An inserted line advances replacement state (the set's
+    /// order, the Random rng, the entry [`reuse_mru`](Self::reuse_mru)
+    /// targets) exactly as a demand read miss would.
+    pub fn fill(&mut self, addr: u64) -> bool {
+        let (set, tag) = self.locate(addr);
+        if self.holds(set, tag) {
+            return false;
+        }
+        self.miss::<false>(set, tag, false);
+        true
     }
 
     /// Whether the line containing `addr` is present, without touching
     /// replacement state or statistics.
     pub fn probe(&self, addr: u64) -> bool {
-        let block = addr >> self.line_shift;
-        let tag = block >> self.set_bits;
-        let set = block as usize & self.set_mask;
-        let base = set * self.config.ways;
-        self.entries[base..base + self.lens[set] as usize]
-            .iter()
-            .any(|&e| e >> 1 == tag)
+        let (set, tag) = self.locate(addr);
+        self.holds(set, tag)
     }
 
     /// Invalidates every line (the analyzer's periodic flush, §5).
@@ -341,7 +368,7 @@ mod tests {
     #[test]
     fn fill_does_not_count_stats() {
         let mut c = tiny(ReplacementPolicy::Lru);
-        c.fill(set0(1));
+        assert!(c.fill(set0(1)));
         assert_eq!(c.stats(), CacheStats::default());
         assert!(c.probe(set0(1)));
         assert!(c.access(set0(1)).hit, "fill installed the line");
@@ -356,8 +383,8 @@ mod tests {
         c.access_write(set0(1));
         c.access_write(set0(2));
         let before = c.stats();
-        let evicted = c.fill(set0(3));
-        assert_eq!(evicted, Some(set0(1)), "fill still evicts");
+        assert!(c.fill(set0(3)));
+        assert!(!c.probe(set0(1)), "fill still evicts");
         assert_eq!(c.stats(), before, "fill touched the stats");
     }
 
@@ -370,6 +397,17 @@ mod tests {
         c.fill(set0(2)); // later logical time than tag 1
         let out = c.access(set0(3));
         assert_eq!(out.evicted, Some(set0(1)), "fill did not refresh time");
+    }
+
+    #[test]
+    fn fill_leaves_resident_lines_in_place() {
+        let mut c = tiny(ReplacementPolicy::Lru);
+        c.access(set0(1));
+        c.access(set0(2));
+        assert!(!c.fill(set0(1)), "resident line filled again");
+        // Tag 1 is still least recent: a read would have refreshed it.
+        assert_eq!(c.access(set0(3)).evicted, Some(set0(1)));
+        assert_eq!(c.stats().accesses, 3, "fill counted an access");
     }
 
     #[test]

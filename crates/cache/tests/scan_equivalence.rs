@@ -5,7 +5,7 @@
 //! else the xorshift pick for Random; FIFO keeps insertion time, LRU
 //! refreshes on hit) — with a dirty bit per line.
 //!
-//! Outcomes, evicted addresses, fill evictions, probes, `reuse_mru` runs,
+//! Outcomes, evicted addresses, fills, probes, `reuse_mru` runs,
 //! flushes and the final access/miss/writeback counts are compared step
 //! by step, over random traffic and over interleaved strided streams
 //! that hit every recency position of a set.
@@ -223,7 +223,12 @@ fn replay(cfg: CacheConfig, ops: &[Op]) {
                 last = a;
             }
             Op::Fill(a) => {
-                let want = refc.access(a, false, false).evicted;
+                // A fill installs only an absent line, leaving a resident
+                // one where it is.
+                let want = !refc.probe(a);
+                if want {
+                    refc.access(a, false, false);
+                }
                 assert_eq!(prod.fill(a), want, "{op:?} diverges at step {step}, {geom}");
             }
             Op::Reuse(n, write) => {

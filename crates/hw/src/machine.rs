@@ -4,7 +4,7 @@ use crate::counters::HwCounters;
 use crate::platform::Platform;
 use crate::prefetcher::{AdjacentLinePrefetcher, PrefetchEngine, StridePrefetcher};
 use umi_cache::{Hierarchy, HitLevel};
-use umi_ir::{AccessKind, MemAccess, Pc};
+use umi_ir::{AccessKind, MemAccess};
 use umi_vm::AccessSink;
 
 /// Which hardware prefetchers are enabled (paper §8: "The prefetchers can
@@ -27,6 +27,12 @@ pub enum PrefetchSetting {
 /// Attach it to a VM run as the [`AccessSink`]; afterwards read the
 /// [`HwCounters`] (what the paper's PAPI measurements see) and the stall
 /// cycles (what the running-time figures are built from).
+///
+/// Every reference, whatever the [`PrefetchSetting`], goes through one
+/// batch loop ([`access`](AccessSink::access) is a one-element batch)
+/// that keeps its run state and stall total in locals, reaches the
+/// inlined cache hit path without a call, and installs each prefetch
+/// with a single scan of its L2 set.
 ///
 /// ```
 /// use umi_hw::{Machine, Platform, PrefetchSetting};
@@ -52,15 +58,12 @@ pub struct Machine {
     /// `log2(l1 line size)`, for same-line run detection.
     l1_shift: u32,
     /// L1 line number of the most recent demand reference (`u64::MAX` =
-    /// none yet). Repeats of this line are deferred into `pending` and
+    /// none yet). Repeats of this line are counted while a batch runs and
     /// settled as one `l1_reuse_mru` call: they are guaranteed L1 hits
     /// (nothing between them can evict the line — prefetch fills touch
-    /// only L2), so they cost no stall and never reach L2.
+    /// only L2), so they cost no stall and never reach L2. The only run
+    /// state that outlives a sink call.
     cur_block: u64,
-    /// Deferred same-line demand repeats not yet applied to L1.
-    pending: u64,
-    /// Whether any deferred repeat was a store.
-    pending_write: bool,
     /// Reusable scratch for prefetcher decisions (avoids a `Vec`
     /// allocation per observed reference).
     fill_buf: Vec<u64>,
@@ -94,8 +97,6 @@ impl Machine {
             last_miss_line: None,
             l1_shift,
             cur_block: u64::MAX,
-            pending: 0,
-            pending_write: false,
             fill_buf: Vec::new(),
         }
     }
@@ -134,214 +135,102 @@ impl Machine {
     pub fn total_cycles(&self, insns: u64) -> u64 {
         insns + self.stall_cycles
     }
+}
 
-    fn install_prefetches(&mut self, lines: &[u64], hw: bool) {
-        for &line in lines {
-            if !self.hierarchy.probe_l2(line) {
-                self.hierarchy.prefetch_fill_l2(line);
-                if hw {
-                    self.hw_fills += 1;
-                } else {
-                    self.sw_fills += 1;
-                }
-            }
-        }
+impl AccessSink for Machine {
+    fn access(&mut self, access: MemAccess) {
+        self.access_batch(std::slice::from_ref(&access));
     }
 
-    /// Installs the scratch buffer's lines as hardware prefetch fills.
-    /// Indexed loop rather than an iterator so the buffer and the
-    /// hierarchy can be borrowed disjointly from `&mut self`.
-    fn drain_fill_buf(&mut self) {
-        for i in 0..self.fill_buf.len() {
-            let line = self.fill_buf[i];
-            if !self.hierarchy.probe_l2(line) {
-                self.hierarchy.prefetch_fill_l2(line);
-                self.hw_fills += 1;
-            }
-        }
-        self.fill_buf.clear();
-    }
-
-    /// Runs both enabled prefetchers on one observed demand reference and
-    /// installs what they propose, in the same order as the per-item path
-    /// (adjacent's fills land before stride observes).
-    #[inline]
-    fn observe_and_install(&mut self, pc: Pc, line: u64, l2_miss: bool) {
-        if let Some(adj) = &mut self.adjacent {
-            adj.observe_into(pc, line, l2_miss, &mut self.fill_buf);
-            if !self.fill_buf.is_empty() {
-                self.drain_fill_buf();
-            }
-        }
-        if let Some(st) = &mut self.stride {
-            st.observe_into(pc, line, l2_miss, &mut self.fill_buf);
-            if !self.fill_buf.is_empty() {
-                self.drain_fill_buf();
-            }
-        }
-    }
-
-    /// Settles deferred same-line repeats into L1. Must run before any
-    /// other L1 access and at the end of every sink call, so external
-    /// observers ([`Machine::counters`]) always see settled state.
-    #[inline]
-    fn flush_run(&mut self) {
-        if self.pending > 0 {
-            self.hierarchy
-                .l1_reuse_mru(self.pending, self.pending_write);
-            self.pending = 0;
-            self.pending_write = false;
-        }
-    }
-
-    #[inline]
-    fn handle(&mut self, access: MemAccess) {
-        if access.kind == AccessKind::Prefetch {
-            // Software prefetch: install into L2, charge one issue cycle.
-            // L2-only, so it does not break a pending L1 run.
-            self.stall_cycles += 1;
-            self.install_prefetches(&[self.platform.l2.line_addr(access.addr)], false);
-            return;
-        }
-
-        let block = access.addr >> self.l1_shift;
-        if block == self.cur_block {
-            // Same-line repeat: a guaranteed L1 hit. Defer the L1
-            // bookkeeping; no stall, no L2 reference. Prefetchers still
-            // observe every demand reference (their stream training and
-            // replacement clocks must see identical traffic), with
-            // `l2_miss = false` exactly as the per-item path would pass.
-            self.pending += 1;
-            self.pending_write |= access.kind == AccessKind::Store;
-            if self.adjacent.is_some() || self.stride.is_some() {
-                let line = self.platform.l2.line_addr(access.addr);
-                self.observe_and_install(access.pc, line, false);
-            }
-            return;
-        }
-        self.flush_run();
-        self.cur_block = block;
-
-        let level = if access.kind == AccessKind::Store {
-            self.hierarchy.access_write(access.addr)
-        } else {
-            self.hierarchy.access(access.addr)
-        };
-        match level {
-            HitLevel::L1 => {}
-            HitLevel::L2 => {
-                self.stall_cycles += self.platform.l2_hit_cycles;
-            }
-            HitLevel::Memory => {
-                // Memory-level parallelism / DRAM row-buffer proxy: a miss
-                // near the previous miss overlaps with it (streaming reads
-                // pipeline in hardware); distant misses — pointer chases —
-                // pay the full serialized latency.
-                let line = self.platform.l2.line_addr(access.addr);
-                let near = self
-                    .last_miss_line
-                    .is_some_and(|prev| prev.abs_diff(line) <= 16 * self.platform.l2.line_size);
-                self.stall_cycles += if near {
-                    self.platform.memory_cycles / 3
-                } else {
-                    self.platform.memory_cycles
-                };
-                self.last_miss_line = Some(line);
-            }
-        }
-
-        // Hardware prefetchers observe demand traffic at line granularity.
-        if self.adjacent.is_some() || self.stride.is_some() {
-            let line = self.platform.l2.line_addr(access.addr);
-            self.observe_and_install(access.pc, line, level == HitLevel::Memory);
-        }
-    }
-
-    /// Prefetch-off batch loop: item-for-item the same outcomes as
-    /// [`handle`](Self::handle) with both prefetchers absent, but the run
-    /// detector, deferred-run counters, and stall accumulator live in
-    /// locals for the whole batch instead of bouncing through `&mut self`
-    /// per reference, and there are no per-item prefetcher checks. The
-    /// deferred run is settled before returning (the caller's `flush_run`
-    /// then finds nothing pending).
-    fn batch_prefetch_off(&mut self, accesses: &[MemAccess]) {
+    /// The one access loop, for every [`PrefetchSetting`] and for
+    /// [`access`](Self::access) as a one-element batch. Same-line runs
+    /// are coalesced: a repeat of the previous demand reference's L1 line
+    /// is counted in a local and settled as one `l1_reuse_mru` call when
+    /// the run ends or the batch does. `cur_block` deliberately survives
+    /// across calls (the MRU L1 line stays resident between them), so
+    /// runs that span batch boundaries still coalesce. The prefetchers
+    /// observe every demand reference, run tails included, with
+    /// `l2_miss = false` for a tail: their stream training and recency
+    /// order must see the same traffic a per-reference model would.
+    fn access_batch(&mut self, accesses: &[MemAccess]) {
+        let prefetching = self.adjacent.is_some() || self.stride.is_some();
         let mut cur_block = self.cur_block;
-        let mut pending = self.pending;
-        let mut pending_write = self.pending_write;
+        let mut pending = 0u64;
+        let mut pending_write = false;
         let mut stall = 0u64;
         for a in accesses {
             if a.kind == AccessKind::Prefetch {
-                // L2-only: does not break the pending L1 run.
+                // Software prefetch: install into L2, charge one issue
+                // cycle. L2-only, so it does not break the L1 run.
                 stall += 1;
-                self.install_prefetches(&[self.platform.l2.line_addr(a.addr)], false);
+                let line = self.platform.l2.line_addr(a.addr);
+                self.sw_fills += u64::from(self.hierarchy.prefetch_fill_l2(line));
                 continue;
             }
             let block = a.addr >> self.l1_shift;
-            if block == cur_block {
+            let l2_miss = if block == cur_block {
+                // Same-line repeat: a guaranteed L1 hit, no stall, no L2
+                // reference.
                 pending += 1;
                 pending_write |= a.kind == AccessKind::Store;
-                continue;
-            }
-            if pending > 0 {
-                self.hierarchy.l1_reuse_mru(pending, pending_write);
-                pending = 0;
-                pending_write = false;
-            }
-            cur_block = block;
-            let level = if a.kind == AccessKind::Store {
-                self.hierarchy.access_write(a.addr)
+                false
             } else {
-                self.hierarchy.access(a.addr)
-            };
-            match level {
-                HitLevel::L1 => {}
-                HitLevel::L2 => stall += self.platform.l2_hit_cycles,
-                HitLevel::Memory => {
-                    let line = self.platform.l2.line_addr(a.addr);
-                    let near = self
-                        .last_miss_line
-                        .is_some_and(|prev| prev.abs_diff(line) <= 16 * self.platform.l2.line_size);
-                    stall += if near {
-                        self.platform.memory_cycles / 3
-                    } else {
-                        self.platform.memory_cycles
-                    };
-                    self.last_miss_line = Some(line);
+                if pending > 0 {
+                    self.hierarchy.l1_reuse_mru(pending, pending_write);
+                    pending = 0;
+                    pending_write = false;
                 }
+                cur_block = block;
+                let level = if a.kind == AccessKind::Store {
+                    self.hierarchy.access_write(a.addr)
+                } else {
+                    self.hierarchy.access(a.addr)
+                };
+                match level {
+                    HitLevel::L1 => {}
+                    HitLevel::L2 => stall += self.platform.l2_hit_cycles,
+                    HitLevel::Memory => {
+                        // Memory-level parallelism / DRAM row-buffer
+                        // proxy: a miss near the previous miss overlaps
+                        // with it (streaming reads pipeline in hardware);
+                        // distant misses — pointer chases — pay the full
+                        // serialized latency.
+                        let line = self.platform.l2.line_addr(a.addr);
+                        let near = self.last_miss_line.is_some_and(|prev| {
+                            prev.abs_diff(line) <= 16 * self.platform.l2.line_size
+                        });
+                        stall += if near {
+                            self.platform.memory_cycles / 3
+                        } else {
+                            self.platform.memory_cycles
+                        };
+                        self.last_miss_line = Some(line);
+                    }
+                }
+                level == HitLevel::Memory
+            };
+            // Hardware prefetchers observe demand traffic at line
+            // granularity. Neither reads the caches, so their proposals
+            // install after both have observed, adjacent's first.
+            if prefetching {
+                let line = self.platform.l2.line_addr(a.addr);
+                if let Some(adj) = &mut self.adjacent {
+                    adj.observe_into(a.pc, line, l2_miss, &mut self.fill_buf);
+                }
+                if let Some(st) = &mut self.stride {
+                    st.observe_into(a.pc, line, l2_miss, &mut self.fill_buf);
+                }
+                for &fill in &self.fill_buf {
+                    self.hw_fills += u64::from(self.hierarchy.prefetch_fill_l2(fill));
+                }
+                self.fill_buf.clear();
             }
         }
         if pending > 0 {
             self.hierarchy.l1_reuse_mru(pending, pending_write);
         }
         self.cur_block = cur_block;
-        self.pending = 0;
-        self.pending_write = false;
         self.stall_cycles += stall;
-    }
-}
-
-impl AccessSink for Machine {
-    fn access(&mut self, access: MemAccess) {
-        self.handle(access);
-        self.flush_run();
-    }
-
-    /// Batch path: the per-block batches the VM delivers are consumed with
-    /// same-line runs coalesced. `cur_block` deliberately survives across
-    /// batches (the MRU L1 line stays resident between them), so runs that
-    /// span batch boundaries still coalesce; only the deferred counts are
-    /// settled per call. With no prefetcher enabled — every prefetch-off
-    /// machine, i.e. most of Figure 3 and Table 4's traffic — the batch
-    /// runs through a register-local loop instead of the per-item handler.
-    fn access_batch(&mut self, accesses: &[MemAccess]) {
-        if self.adjacent.is_none() && self.stride.is_none() {
-            self.batch_prefetch_off(accesses);
-            return;
-        }
-        for &access in accesses {
-            self.handle(access);
-        }
-        self.flush_run();
     }
 }
 

@@ -55,39 +55,52 @@ impl PrefetchEngine for AdjacentLinePrefetcher {
     fn reset(&mut self) {}
 }
 
+/// The most streams one [`StridePrefetcher`] tracks: its recency order
+/// is one `u64` of 4-bit slot indices.
+const MAX_STREAMS: usize = 16;
+
+/// `0x1111_1111_1111_1111`: a 1 in every nibble.
+const NIBBLE_ONES: u64 = u64::MAX / 0xf;
+
 /// IP-indexed stride prefetching with a fixed number of streams (8 on the
 /// Pentium 4). Two consecutive equal line-strides arm a stream; armed
-/// streams prefetch `distance` strides ahead.
+/// streams prefetch `distance` strides ahead. A pc with no stream takes
+/// the first free slot, else the least recently used one.
 ///
-/// Stream state is stored field-per-array (SoA) rather than as an array
-/// of stream structs: `observe_into` runs once per demand reference and
-/// both of its scans — the pc match and the LRU victim search — then
-/// walk one small dense array apiece instead of striding over multi-line
-/// structs. Consecutive demand references almost never share a pc (loop
-/// bodies interleave their loads), so the pc scan is the common path,
-/// not the `last_slot` memo.
+/// `observe_into` runs once per demand reference, and consecutive
+/// references almost never share a pc (loop bodies interleave their
+/// loads), so the table is laid out for a full lookup on every call:
+///
+/// * Stream state is stored field-per-array (SoA), and the pc match
+///   compares every slot without branching, masks the result with the
+///   validity word and takes the lowest set bit.
+/// * Recency is an order, not a clock: `order` packs the slot indices
+///   4 bits apiece, most recent first, so the least recently used valid
+///   slot is the last nibble and a touch moves one nibble to the front
+///   after a SWAR zero-nibble search finds it.
 #[derive(Clone, Debug)]
 pub struct StridePrefetcher {
     /// Owning pc per slot (garbage for invalid slots — masked by `valid`).
-    pcs: Vec<u64>,
+    pcs: [u64; MAX_STREAMS],
     /// Last observed line address per slot.
-    last_lines: Vec<u64>,
+    last_lines: [u64; MAX_STREAMS],
     /// Armed stride per slot (line-address delta).
-    strides: Vec<i64>,
+    strides: [i64; MAX_STREAMS],
     /// Consecutive equal-stride observations per slot.
-    confidences: Vec<u8>,
-    /// Last-touch clock per slot, for LRU reuse.
-    lrus: Vec<u64>,
-    /// Validity bitmask: bit `i` = slot `i` holds a live stream (stream
-    /// counts are ≤ 64; [`StridePrefetcher::new`] enforces it).
+    confidences: [u8; MAX_STREAMS],
+    /// Valid slots by recency: nibble `k` is the slot touched `k`-th most
+    /// recently. The first `valid.count_ones()` nibbles are a permutation
+    /// of the valid slots; nibbles past them are stale and never read as
+    /// a position, because the search stops at the first match.
+    order: u64,
+    /// Validity bitmask: bit `i` = slot `i` holds a live stream. Slots are
+    /// only invalidated all at once ([`reset`](PrefetchEngine::reset)),
+    /// so the valid slots are always `0..valid.count_ones()`.
     valid: u64,
+    /// Number of slots (`1..=MAX_STREAMS`).
+    streams: usize,
     line_size: u64,
     distance: u64,
-    clock: u64,
-    /// Slot of the most recently observed pc — a pure lookup memo.
-    /// pc-uniqueness of valid streams makes the shortcut observationally
-    /// identical to the scan.
-    last_slot: usize,
 }
 
 impl StridePrefetcher {
@@ -101,55 +114,56 @@ impl StridePrefetcher {
     ///
     /// # Panics
     ///
-    /// Panics unless `1 ..= 64` streams are requested (validity is one
-    /// bitmask word).
+    /// Panics unless `1 ..= 16` streams are requested (the recency order
+    /// is one word of 4-bit slot indices).
     pub fn new(streams: usize, line_size: u64, distance: u64) -> StridePrefetcher {
         assert!(
-            (1..=64).contains(&streams),
-            "stream count {streams} outside 1..=64"
+            (1..=MAX_STREAMS).contains(&streams),
+            "stream count {streams} outside 1..={MAX_STREAMS}"
         );
         StridePrefetcher {
-            pcs: vec![0; streams],
-            last_lines: vec![0; streams],
-            strides: vec![0; streams],
-            confidences: vec![0; streams],
-            lrus: vec![0; streams],
+            pcs: [0; MAX_STREAMS],
+            last_lines: [0; MAX_STREAMS],
+            strides: [0; MAX_STREAMS],
+            confidences: [0; MAX_STREAMS],
+            order: 0,
             valid: 0,
+            streams,
             line_size,
             distance,
-            clock: 0,
-            last_slot: 0,
         }
     }
 
-    /// First valid slot owned by `pc`, or `None`. Equivalent to the
-    /// original struct-array `position` scan: valid streams have unique
-    /// pcs, so "first match over valid slots" is "the match".
+    /// The valid slot owned by `pc`, or `None`. Valid streams have unique
+    /// pcs, so the lowest match is the match.
     #[inline]
     fn find(&self, pc: u64) -> Option<usize> {
-        if self.valid & (1 << self.last_slot) != 0 && self.pcs[self.last_slot] == pc {
-            return Some(self.last_slot);
+        let mut hits = 0u64;
+        for (i, &p) in self.pcs.iter().enumerate() {
+            hits |= u64::from(p == pc) << i;
         }
-        let mut m = self.valid;
-        while m != 0 {
-            let i = m.trailing_zeros() as usize;
-            if self.pcs[i] == pc {
-                return Some(i);
-            }
-            m &= m - 1;
-        }
-        None
+        hits &= self.valid;
+        (hits != 0).then(|| hits.trailing_zeros() as usize)
+    }
+
+    /// Moves valid `slot` to the front of the recency order.
+    #[inline]
+    fn touch(&mut self, slot: usize) {
+        // Zero the nibbles equal to `slot`; the lowest flagged zero
+        // nibble is exact (borrows only run upward from a zero nibble).
+        let x = self.order ^ (slot as u64 * NIBBLE_ONES);
+        let zeros = x.wrapping_sub(NIBBLE_ONES) & !x & (NIBBLE_ONES << 3);
+        let at = zeros.trailing_zeros() & !3;
+        let newer = self.order & ((1 << at) - 1);
+        let older = self.order & (u64::MAX << at << 4);
+        self.order = older | newer << 4 | slot as u64;
     }
 }
 
 impl PrefetchEngine for StridePrefetcher {
     fn observe_into(&mut self, pc: Pc, line_addr: u64, l2_miss: bool, out: &mut Vec<u64>) {
-        self.clock += 1;
-        let clock = self.clock;
-
         if let Some(i) = self.find(pc.0) {
-            self.last_slot = i;
-            self.lrus[i] = clock;
+            self.touch(i);
             let delta = line_addr as i64 - self.last_lines[i] as i64;
             self.last_lines[i] = line_addr;
             if delta == 0 {
@@ -178,37 +192,26 @@ impl PrefetchEngine for StridePrefetcher {
             return;
         }
 
-        // Allocate a new stream: the first invalid slot, else the first
-        // least-recently-used one — the order the struct-array
-        // `min_by_key` (invalid keyed 0, stable min) produced.
-        let n = self.pcs.len();
-        let full = if n == 64 { u64::MAX } else { (1 << n) - 1 };
-        let slot = if self.valid != full {
+        // Allocate a new stream: the first invalid slot, else the least
+        // recently used one, which is the last of the `streams` nibbles.
+        // Either way the slot goes to the front; a full table's victim
+        // nibble is shifted out of the order.
+        let slot = if self.valid != u64::MAX >> (64 - self.streams) {
             (!self.valid).trailing_zeros() as usize
         } else {
-            let mut oldest = 0usize;
-            let mut oldest_lru = self.lrus[0];
-            for (i, &lru) in self.lrus.iter().enumerate().skip(1) {
-                if lru < oldest_lru {
-                    oldest_lru = lru;
-                    oldest = i;
-                }
-            }
-            oldest
+            (self.order >> (4 * (self.streams - 1)) & 0xf) as usize
         };
+        self.order = self.order << 4 | slot as u64;
         self.pcs[slot] = pc.0;
         self.last_lines[slot] = line_addr;
         self.strides[slot] = 0;
         self.confidences[slot] = 0;
-        self.lrus[slot] = clock;
         self.valid |= 1 << slot;
-        self.last_slot = slot;
     }
 
     fn reset(&mut self) {
         self.valid = 0;
-        self.clock = 0;
-        self.last_slot = 0;
+        self.order = 0;
     }
 }
 
@@ -277,6 +280,12 @@ mod tests {
         p.observe(Pc(1), 0x1000, true);
         p.observe(Pc(1), 0xfc0, true);
         assert_eq!(p.observe(Pc(1), 0xf80, true), vec![0xf40]);
+    }
+
+    #[test]
+    #[should_panic(expected = "stream count 17 outside 1..=16")]
+    fn more_than_sixteen_streams_are_rejected() {
+        StridePrefetcher::new(17, 64, 1);
     }
 
     #[test]

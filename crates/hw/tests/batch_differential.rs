@@ -4,9 +4,16 @@
 //! hierarchy lookup plus a deferred bulk update, while the prefetchers
 //! keep observing every reference. This property pins the batched machine
 //! to an independent per-item reference — the pre-batching access loop,
-//! re-stated here over the same [`Hierarchy`] and prefetch engines — on
-//! every counter and on the stall-cycle total, across prefetch settings,
-//! platforms, and replacement policies.
+//! re-stated here over the same [`Hierarchy`] and the adjacent-line
+//! engine, with its own stride engine — on every counter and on the
+//! stall-cycle total, across prefetch settings, platforms, and
+//! replacement policies.
+//!
+//! The stride engine is restated too ([`RefStride`]: a clock, per-stream
+//! last-touch times and a minimum scan for the victim), and a lockstep
+//! property compares it with [`StridePrefetcher`]'s recency-ordered table
+//! call by call, so a regression in that table cannot hide behind a
+//! reference that runs the same code.
 
 use umi_cache::{CacheConfig, Hierarchy, HitLevel, ReplacementPolicy};
 use umi_hw::{
@@ -16,13 +23,95 @@ use umi_ir::{AccessKind, MemAccess, Pc};
 use umi_testkit::{check, Xoshiro256pp};
 use umi_vm::AccessSink;
 
+/// One stream of [`RefStride`].
+#[derive(Clone, Copy, Default)]
+struct RefStream {
+    valid: bool,
+    pc: u64,
+    last_line: u64,
+    stride: i64,
+    confidence: u8,
+    /// Clock value of the last touch.
+    lru: u64,
+}
+
+/// The stride engine as originally written: an array of stream structs,
+/// a logical clock stamped on every touch, and a victim chosen by the
+/// smallest stamp (invalid streams keyed 0, first minimum wins).
+struct RefStride {
+    streams: Vec<RefStream>,
+    line_size: u64,
+    distance: u64,
+    clock: u64,
+}
+
+impl RefStride {
+    fn new(streams: usize, line_size: u64, distance: u64) -> RefStride {
+        RefStride {
+            streams: vec![RefStream::default(); streams],
+            line_size,
+            distance,
+            clock: 0,
+        }
+    }
+
+    fn observe(&mut self, pc: Pc, line_addr: u64, l2_miss: bool) -> Vec<u64> {
+        self.clock += 1;
+        let mut out = Vec::new();
+        let Some(s) = self.streams.iter_mut().find(|s| s.valid && s.pc == pc.0) else {
+            let victim = self
+                .streams
+                .iter_mut()
+                .min_by_key(|s| if s.valid { s.lru } else { 0 })
+                .expect("at least one stream");
+            *victim = RefStream {
+                valid: true,
+                pc: pc.0,
+                last_line: line_addr,
+                stride: 0,
+                confidence: 0,
+                lru: self.clock,
+            };
+            return out;
+        };
+        s.lru = self.clock;
+        let delta = line_addr as i64 - s.last_line as i64;
+        s.last_line = line_addr;
+        if delta == 0 {
+            return out;
+        }
+        if delta == s.stride {
+            s.confidence = s.confidence.saturating_add(1);
+        } else {
+            s.stride = delta;
+            s.confidence = 1;
+        }
+        if l2_miss && s.confidence >= 2 {
+            for k in 1..=self.distance {
+                let target = line_addr as i64 + s.stride * k as i64;
+                if target >= 0 {
+                    out.push(target as u64 & !(self.line_size - 1));
+                }
+            }
+        }
+        out
+    }
+
+    fn reset(&mut self) {
+        for s in &mut self.streams {
+            s.valid = false;
+        }
+        self.clock = 0;
+    }
+}
+
 /// The original per-item machine loop: full hierarchy access per
 /// reference, stall accounting, MLP discount, prefetcher observe/install.
 struct RefMachine {
     platform: Platform,
     hierarchy: Hierarchy,
     adjacent: Option<AdjacentLinePrefetcher>,
-    stride: Option<StridePrefetcher>,
+    stride: Option<RefStride>,
     hw_fills: u64,
     sw_fills: u64,
     stall_cycles: u64,
@@ -39,7 +128,7 @@ impl RefMachine {
         let line = platform.l2.line_size;
         let adjacent =
             (effective != PrefetchSetting::Off).then(|| AdjacentLinePrefetcher::new(line));
-        let stride = (effective == PrefetchSetting::Full).then(|| StridePrefetcher::pentium4(line));
+        let stride = (effective == PrefetchSetting::Full).then(|| RefStride::new(8, line, 2));
         RefMachine {
             hierarchy: Hierarchy::new(platform.l1, platform.l2),
             platform,
@@ -158,18 +247,39 @@ fn random_stream(rng: &mut Xoshiro256pp, refs: usize) -> Vec<MemAccess> {
     out
 }
 
+/// Feeds `stream` to `machine` in random-length batches, or, with
+/// `mixed`, as a random interleaving of batches and per-item `access`
+/// calls.
+fn feed(rng: &mut Xoshiro256pp, machine: &mut Machine, stream: &[MemAccess], mixed: bool) {
+    let mut i = 0;
+    while i < stream.len() {
+        if mixed && rng.below(2) == 0 {
+            machine.access(stream[i]);
+            i += 1;
+            continue;
+        }
+        let end = (i + 1 + rng.below(9) as usize).min(stream.len());
+        machine.access_batch(&stream[i..end]);
+        i = end;
+    }
+}
+
 fn machine_matches(platform: fn() -> Platform, setting: PrefetchSetting, label: &str) {
+    machine_matches_fed(platform, setting, false, label);
+}
+
+fn machine_matches_fed(
+    platform: fn() -> Platform,
+    setting: PrefetchSetting,
+    mixed: bool,
+    label: &str,
+) {
     check(label, 32, |rng| {
         let stream = random_stream(rng, 1200);
         let mut batched = Machine::new(platform(), setting);
         let mut reference = RefMachine::new(platform(), setting);
 
-        let mut i = 0;
-        while i < stream.len() {
-            let end = (i + 1 + rng.below(9) as usize).min(stream.len());
-            batched.access_batch(&stream[i..end]);
-            i = end;
-        }
+        feed(rng, &mut batched, &stream, mixed);
         for &a in &stream {
             reference.access(a);
         }
@@ -242,4 +352,93 @@ fn random_replacement_stays_in_lockstep() {
         PrefetchSetting::Full,
         "batched Machine matches per-item (Random policy)",
     );
+}
+
+/// One machine fed both ways: per-item `access` calls between batches
+/// must leave the run detector and the deferred run exactly where the
+/// per-item reference has them.
+#[test]
+fn per_item_and_batch_calls_mix_on_one_machine() {
+    for setting in [PrefetchSetting::Off, PrefetchSetting::Full] {
+        machine_matches_fed(
+            Platform::pentium4,
+            setting,
+            true,
+            "Machine fed by access and access_batch matches per-item",
+        );
+    }
+}
+
+/// Observation traffic for the stride lockstep: a pool of more pcs than
+/// streams, each walking its own region with a stride of -3..=3 lines
+/// that sometimes changes, occasional same-line repeats and jumps, some
+/// regions near address 0 so negative strides run into it, random
+/// `l2_miss` flags, and an occasional `reset` between observations.
+fn stride_lockstep(streams: usize, label: &str) {
+    check(label, 48, |rng| {
+        let line = 64u64;
+        let distance = 1 + rng.below(3);
+        let mut table = StridePrefetcher::new(streams, line, distance);
+        let mut reference = RefStride::new(streams, line, distance);
+        let pcs = streams + 1 + rng.below(2 * streams as u64) as usize;
+        let mut cursors: Vec<u64> = (0..pcs)
+            .map(|p| {
+                if p % 3 == 0 {
+                    4 * line
+                } else {
+                    (p as u64 + 1) << 24
+                }
+            })
+            .collect();
+        let mut strides: Vec<i64> = (0..pcs).map(|_| rng.range_i64(-3, 3)).collect();
+        let reset_at = rng.below(600);
+        for step in 0..600u64 {
+            if step == reset_at {
+                table.reset();
+                reference.reset();
+            }
+            // Skewed pc choice: a few hot pcs keep their streams while
+            // the rest churn the table.
+            let p = if rng.below(2) == 0 {
+                rng.below(streams.min(pcs) as u64) as usize
+            } else {
+                rng.below(pcs as u64) as usize
+            };
+            match rng.below(16) {
+                0 => strides[p] = rng.range_i64(-3, 3),
+                1 => cursors[p] = rng.below(1 << 30),
+                _ => {}
+            }
+            let next = cursors[p] as i64 + strides[p] * line as i64;
+            cursors[p] = if next < 0 { 0 } else { next as u64 };
+            let line_addr = cursors[p] & !(line - 1);
+            let l2_miss = rng.below(3) != 0;
+            let pc = Pc(0x40_0000 + 4 * p as u64);
+            assert_eq!(
+                table.observe(pc, line_addr, l2_miss),
+                reference.observe(pc, line_addr, l2_miss),
+                "{streams} streams: step {step}, pc {p}, line {line_addr:#x}"
+            );
+        }
+    });
+}
+
+#[test]
+fn stride_table_matches_clock_reference_1_stream() {
+    stride_lockstep(1, "stride table matches the clock engine (1 stream)");
+}
+
+#[test]
+fn stride_table_matches_clock_reference_2_streams() {
+    stride_lockstep(2, "stride table matches the clock engine (2 streams)");
+}
+
+#[test]
+fn stride_table_matches_clock_reference_8_streams() {
+    stride_lockstep(8, "stride table matches the clock engine (8 streams)");
+}
+
+#[test]
+fn stride_table_matches_clock_reference_16_streams() {
+    stride_lockstep(16, "stride table matches the clock engine (16 streams)");
 }

@@ -12,6 +12,8 @@
 # golden comparison. table_absint likewise exits non-zero when exact
 # simulation contradicts any must-analysis verdict, and table_staticplan
 # when any composed miss-count interval is escaped (the soundness gates).
+# This is the only place CI runs the gates; a harness that exits
+# non-zero is named with its status before the script aborts.
 #
 # Run from the repository root: scripts/smoke.sh
 set -eu
@@ -35,7 +37,12 @@ for j in $json; do
 done
 
 for bin in $harnesses; do
-    UMI_SCALE=test UMI_JOBS=2 ./target/release/$bin > "$tmp/$bin.txt"
+    status=0
+    UMI_SCALE=test UMI_JOBS=2 ./target/release/$bin > "$tmp/$bin.txt" || status=$?
+    if [ "$status" -ne 0 ]; then
+        echo "smoke: $bin exited with status $status" >&2
+        exit "$status"
+    fi
     if ! diff -u "results/golden/$bin.txt" "$tmp/$bin.txt"; then
         echo "smoke: $bin output differs from results/golden/$bin.txt" >&2
         exit 1
