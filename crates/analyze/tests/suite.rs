@@ -1,6 +1,9 @@
 //! The verifier and classifier over the full 32-workload suite.
 
-use umi_analyze::{analyze_program, classify_program, render_errors, verify, Cfg, StaticClass};
+use umi_analyze::{
+    absint_program, analyze_program, classify_program, compose_program, render_errors, verify,
+    CacheGeometry, Cfg, StaticClass,
+};
 use umi_workloads::{all32, Scale};
 
 #[test]
@@ -69,4 +72,20 @@ fn latches_are_sorted_and_unique_on_every_workload() {
         loops > 32,
         "the suite should have loops everywhere ({loops})"
     );
+}
+
+/// A composed report's sites carry exactly the absint rows, so
+/// `umi_lint` takes an original program's verdicts from the report it
+/// composes instead of running the interpreter a second time.
+#[test]
+fn composed_sites_carry_the_absint_rows_on_every_workload() {
+    let (l1, l2) = (CacheGeometry::pentium4_l1d(), CacheGeometry::pentium4_l2());
+    for spec in all32() {
+        let program = spec.build(Scale::Test);
+        let mut rows = absint_program(&program, &l1, &l2);
+        rows.sort_by_key(|r| (r.pc, r.is_store, r.block));
+        let report = compose_program(&program, &l1, &l2, 0.10);
+        let sites: Vec<_> = report.sites.iter().map(|s| s.behavior).collect();
+        assert_eq!(sites, rows, "{}", spec.name);
+    }
 }

@@ -12,12 +12,11 @@
 //!   no runs at all, every access a full set scan and eviction.
 //!
 //! Stdout is deterministic — reference counts, miss counts, and ratios
-//! only, plus the sampled-vs-exact error panel — so the output is golden
-//! in `scripts/smoke.sh`. Wall-clock throughput goes to
-//! `results/BENCH_pipeline.json` via the shared [`Harness`], never to
-//! stdout. `insns` in that report counts sink *references* here: each
-//! pattern is replayed into fresh sinks, once per sink configuration,
-//! until the cell has run for
+//! only — so the output is golden in `scripts/smoke.sh`. Wall-clock
+//! throughput goes to `results/BENCH_pipeline.json` via the shared
+//! [`Harness`], never to stdout. `insns` in that report counts sink
+//! *references* here: each pattern is replayed into fresh sinks, once
+//! per sink configuration, until the cell has run for
 //! [`MIN_CELL_TIME`](umi_bench::engine::MIN_CELL_TIME), and the printed
 //! counts come from the first replay.
 
@@ -35,8 +34,6 @@ const LINE: u64 = 64;
 /// Accesses per `access_batch` call — the order of a typical per-block
 /// batch from the VM.
 const BATCH: usize = 16;
-/// Set-sampling factor exercised by the error panel.
-const SAMPLE_FACTOR: u32 = 8;
 
 fn hot_loop(refs: usize) -> Vec<MemAccess> {
     // 4 KB working set (half the P4 L1), four references per line per
@@ -120,12 +117,11 @@ const PATTERNS: &[Pattern] = &[
     },
 ];
 
-/// Everything one pattern produces across the four sink configurations.
+/// Everything one pattern produces across the three sink configurations.
 struct Row {
     l1: CacheStats,
     l2: CacheStats,
     exact_ratio: f64,
-    sampled_ratio: f64,
     off: HwCounters,
     off_stalls: u64,
     full: HwCounters,
@@ -167,8 +163,6 @@ fn main() {
         let (row, runs) = repeat_for_min_time(|| {
             let mut exact = FullSimulator::pentium4();
             trace.replay_into(&mut exact);
-            let mut sampled = FullSimulator::pentium4_sampled(SAMPLE_FACTOR);
-            trace.replay_into(&mut sampled);
             let mut off = Machine::new(Platform::pentium4(), PrefetchSetting::Off);
             trace.replay_into(&mut off);
             let mut full = Machine::new(Platform::pentium4(), PrefetchSetting::Full);
@@ -177,7 +171,6 @@ fn main() {
                 l1: exact.l1_stats(),
                 l2: exact.l2_stats(),
                 exact_ratio: exact.l2_miss_ratio(),
-                sampled_ratio: sampled.l2_miss_ratio(),
                 off: off.counters(),
                 off_stalls: off.stall_cycles(),
                 full: full.counters(),
@@ -187,7 +180,7 @@ fn main() {
 
         Cell {
             label: pattern.name.to_string(),
-            insns: runs * 4 * trace.summary().accesses,
+            insns: runs * 3 * trace.summary().accesses,
             value: row,
         }
     });
@@ -231,18 +224,5 @@ fn main() {
         assert_eq!(r.off.l2_misses, r.l2.misses, "{}: sink divergence", p.name);
     }
 
-    println!();
-    println!("sampled mode (factor {SAMPLE_FACTOR}) vs exact, L2 miss ratio:");
-    let mut worst = 0.0f64;
-    for (p, r) in PATTERNS.iter().zip(&rows) {
-        let err = (r.sampled_ratio - r.exact_ratio).abs();
-        worst = worst.max(err);
-        println!(
-            "  {:<10} exact {:>7.4}   sampled {:>7.4}   |err| {:>7.4}",
-            p.name, r.exact_ratio, r.sampled_ratio, err
-        );
-    }
-    println!("  worst |err| {worst:.4} (bound: 0.0100)");
-    assert!(worst <= 0.01, "sampled-mode error bound violated");
     harness.finish();
 }

@@ -6,10 +6,12 @@
 //! Unclassified at the paper's Pentium 4 L1/L2 geometry, each verdict
 //! carrying an auditable miss bound. The dynamic side is a
 //! [`umi_cache::FullSimulator`] run with the L1 audit enabled, giving
-//! exact per-pc L1 *and* memory miss counts. The shared audit
-//! ([`umi_bench::absint_audit`]) evaluates every checkable verdict group
-//! against the predicate its verdict promises; a single contradiction
-//! exits non-zero — the verdicts are proofs, not predictions.
+//! exact per-pc L1 *and* memory miss counts, kept as a
+//! [`GroundTruth`]. The shared verdict check
+//! ([`umi_bench::audit::check_verdicts`]) evaluates every checkable
+//! verdict group against the predicate its verdict promises; a single
+//! contradiction exits non-zero — the verdicts are proofs, not
+//! predictions.
 //!
 //! Coverage is the fraction of in-loop sites with a definite verdict;
 //! the acceptance bar is the macro-average over workloads. A
@@ -18,8 +20,10 @@
 //! `results/golden/table_absint.txt` by `scripts/smoke.sh`.
 
 use std::collections::BTreeMap;
-use umi_analyze::{render_errors, verify, UnclassifiedReason, Verdict};
-use umi_bench::absint_audit::audit_absint;
+use umi_analyze::{
+    absint_program, render_errors, verify, CacheGeometry, UnclassifiedReason, Verdict,
+};
+use umi_bench::audit::{check_verdicts, GroundTruth};
 use umi_bench::engine::{Cell, Harness};
 use umi_bench::scale_from_env;
 use umi_workloads::{all32, Scale};
@@ -61,9 +65,14 @@ fn gate_workload(program: &umi_ir::Program, name: &str) -> (Row, u64) {
         );
     }
 
-    let audit = audit_absint(program);
+    let rows = absint_program(
+        program,
+        &CacheGeometry::pentium4_l1d(),
+        &CacheGeometry::pentium4_l2(),
+    );
+    let truth = GroundTruth::pentium4(program);
     let mut row = Row::default();
-    for r in audit.rows.iter().filter(|r| r.in_loop) {
+    for r in rows.iter().filter(|r| r.in_loop) {
         row.sites += 1;
         match r.l1 {
             Verdict::AlwaysHit => row.hit += 1,
@@ -76,13 +85,14 @@ fn gate_workload(program: &umi_ir::Program, name: &str) -> (Row, u64) {
             }
         }
     }
-    row.checked = audit.checked.len();
-    for v in audit.violations() {
+    let checks = check_verdicts(&truth, &rows);
+    row.checked = checks.len();
+    for v in checks.iter().filter(|c| !c.ok) {
         row.violations += 1;
         eprintln!("{name}: {:#x} {}", v.pc.0, v.violation_message());
     }
 
-    (row, audit.insns)
+    (row, truth.insns)
 }
 
 /// Serializes the audit as `results/umi_absint.json`. Best-effort: a

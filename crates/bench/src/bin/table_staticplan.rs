@@ -7,11 +7,13 @@
 //! 1. **Audit gate.** The miss-bound composer
 //!    ([`umi_analyze::compose_program`]) turns per-site must-cache
 //!    verdicts × trip bounds into per-PC and aggregate miss-count
-//!    *intervals*. The shared audit ([`umi_bench::staticplan_audit`])
-//!    replays each workload through the exact [`umi_cache::FullSimulator`]
-//!    and requires every measured count — accesses, L1 misses, memory
-//!    misses, per group and in aggregate — to land inside its interval.
-//!    A single escape exits non-zero: the intervals are proofs.
+//!    *intervals*. The shared interval check
+//!    ([`umi_bench::audit::check_intervals`]) reads one [`GroundTruth`]
+//!    — each workload run to completion under the exact
+//!    [`umi_cache::FullSimulator`] — and requires every measured count —
+//!    accesses, L1 misses, memory misses, per group and in aggregate —
+//!    to land inside its interval. A single escape exits non-zero: the
+//!    intervals are proofs.
 //! 2. **Plan A/B.** The static planner
 //!    ([`umi_prefetch::static_prefetch_plan`]) builds a prefetch plan
 //!    from analysis alone; dynamic UMI builds its plan from a profiling
@@ -27,11 +29,10 @@
 //! `results/golden/table_staticplan.txt` by `scripts/smoke.sh`.
 
 use std::collections::BTreeSet;
-use umi_analyze::{render_errors, verify};
+use umi_analyze::{render_errors, verify, CacheGeometry};
+use umi_bench::audit::{check_intervals, GroundTruth};
 use umi_bench::engine::{Cell, Harness};
-use umi_bench::staticplan_audit::audit_report;
 use umi_bench::{geomean, mean, scale_from_env};
-use umi_cache::CacheConfig;
 use umi_core::{introspect_cached, UmiConfig};
 use umi_hw::{Machine, Platform, PrefetchSetting};
 use umi_prefetch::harness::{run_native, RunOutcome};
@@ -86,13 +87,17 @@ fn gate_workload(program: &umi_ir::Program, name: &str) -> (Row, u64) {
 
     // The static planner composes the program once; experiment 1
     // audits that composition and experiment 2 plans from it.
-    let l1 = CacheConfig::pentium4_l1d();
-    let l2 = CacheConfig::pentium4_l2();
-    let static_plan = static_prefetch_plan(program, &l1.geometry(), &l2.geometry(), floor);
+    let static_plan = static_prefetch_plan(
+        program,
+        &CacheGeometry::pentium4_l1d(),
+        &CacheGeometry::pentium4_l2(),
+        floor,
+    );
 
     // Experiment 1: every composed interval against exact simulation.
-    let audit = audit_report(program, &static_plan.report, l1, l2);
-    let mut insns = audit.insns;
+    let truth = GroundTruth::pentium4(program);
+    let audit = check_intervals(&truth, &static_plan.report);
+    let mut insns = truth.insns;
     let mut violations = 0usize;
     for v in audit.violations() {
         violations += 1;
@@ -148,8 +153,8 @@ fn gate_workload(program: &umi_ir::Program, name: &str) -> (Row, u64) {
         groups: audit.checked.len(),
         bounded: audit.checked.iter().filter(|c| c.bound.bounded).count(),
         violations,
-        ratio_lo: audit.report.l1_ratio.0,
-        ratio_hi: audit.report.l1_ratio.1,
+        ratio_lo: static_plan.report.l1_ratio.0,
+        ratio_hi: static_plan.report.l1_ratio.1,
         measured: audit.measured_l1_ratio(),
         agreement,
         static_planned: splan.len(),

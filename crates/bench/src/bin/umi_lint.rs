@@ -14,17 +14,22 @@
 //! 4. the prefetch pipeline (`PrefetchPlan::from_report` →
 //!    [`inject_prefetches`]) followed by verifier + lints + the plan
 //!    checker ([`check_rewritten`]) on the rewritten program;
-//! 5. the absint soundness gate ([`umi_bench::absint_audit`]): every
-//!    must-cache verdict (AlwaysHit / AlwaysMiss / Persistent) proved by
-//!    [`umi_analyze::absint_program`] over the original *and* the
-//!    rewritten program (hints must never earn residency credit), each
-//!    audited against exact per-pc simulation — a contradicted verdict
-//!    is an Error and fails CI;
-//! 6. the static-bound audit ([`umi_bench::staticplan_audit`]): the
-//!    composed whole-program miss-count intervals (absint verdicts ×
+//! 5. the absint soundness gate ([`umi_bench::audit::check_verdicts`]):
+//!    every must-cache verdict (AlwaysHit / AlwaysMiss / Persistent)
+//!    proved over the original *and* the rewritten program (hints must
+//!    never earn residency credit), each checked against exact per-pc
+//!    simulation — a contradicted verdict is an Error and fails CI. The
+//!    original's verdicts are the `sites` of its composed report (pass
+//!    6); the rewrite's come from [`umi_analyze::absint_program`];
+//! 6. the static-bound audit ([`umi_bench::audit::check_intervals`]):
+//!    the composed whole-program miss-count intervals (absint verdicts ×
 //!    trip bounds, [`umi_analyze::compose_program`]) checked per
-//!    `(pc, kind)` group and in aggregate against the same exact
-//!    simulation — an escaped interval is likewise an Error.
+//!    `(pc, kind)` group and in aggregate against the original's
+//!    [`GroundTruth`] — an escaped interval is likewise an Error.
+//!
+//! Each program is simulated exactly once. The original is also
+//! analyzed once: its composed report supplies pass 5's verdicts and is
+//! pass 6's subject, and its one [`GroundTruth`] serves both passes.
 //!
 //! Stdout is the agreement table plus every diagnostic, byte-stable at a
 //! fixed scale (diffed against `results/golden/umi_lint.txt` by
@@ -34,12 +39,12 @@
 //! below the 70% bar, so CI can gate on it directly.
 
 use umi_analyze::{
-    lint_program, predict_program, render_errors, verify, CacheGeometry, Delinquency, Severity,
+    absint_program, compose_program, lint_program, predict_program, render_errors, verify,
+    CacheBehavior, CacheGeometry, Delinquency, Severity,
 };
-use umi_bench::absint_audit::audit_absint;
+use umi_bench::audit::{check_intervals, check_verdicts, GroundTruth};
 use umi_bench::engine::{Cell, Harness};
 use umi_bench::scale_from_env;
-use umi_bench::staticplan_audit::audit_staticplan;
 use umi_core::{DynamicDelinquency, UmiConfig, UmiRuntime};
 use umi_prefetch::{check_rewritten, inject_prefetches, PrefetchPlan};
 use umi_vm::NullSink;
@@ -223,16 +228,26 @@ fn gate_workload(program: &umi_ir::Program, name: &str) -> (Row, u64) {
     }
 
     // The absint soundness gate: every must-cache verdict the abstract
-    // interpreter proves, audited against exact per-pc simulation at the
+    // interpreter proves, checked against exact per-pc simulation at the
     // paper's P4 geometry. Both the original program and its rewritten
     // variant are audited — the rewrite is the one program shape whose
     // verdicts `check_rewritten` consumes, and its prefetch hints are
     // exactly what the simulators ignore. A violation is a soundness bug
-    // in the analysis — always Error severity.
-    for (variant, prog) in [("orig", program), ("rw", &rewritten)] {
-        let audit = audit_absint(prog);
-        row.absint_checked += audit.checked.len();
-        for v in audit.violations() {
+    // in the analysis — always Error severity. The original's verdicts
+    // are the sites of its composed report, which the static-bound audit
+    // below checks against the same run.
+    let (g1, g2) = (CacheGeometry::pentium4_l1d(), CacheGeometry::pentium4_l2());
+    let composed = compose_program(program, &g1, &g2, floor);
+    let orig_rows: Vec<CacheBehavior> = composed.sites.iter().map(|s| s.behavior).collect();
+    let rw_rows = absint_program(&rewritten, &g1, &g2);
+    let [orig_truth, rw_truth] = [program, &rewritten].map(GroundTruth::pentium4);
+    for (variant, rows, truth) in [
+        ("orig", &orig_rows, &orig_truth),
+        ("rw", &rw_rows, &rw_truth),
+    ] {
+        let checks = check_verdicts(truth, rows);
+        row.absint_checked += checks.len();
+        for v in checks.iter().filter(|c| !c.ok) {
             row.absint_violations += 1;
             row.findings.push(Finding {
                 variant,
@@ -250,10 +265,10 @@ fn gate_workload(program: &umi_ir::Program, name: &str) -> (Row, u64) {
     }
 
     // The static-bound audit: whole-program miss-count intervals
-    // (absint verdicts × trip bounds) against the same exact simulation.
+    // (absint verdicts × trip bounds) against the original's run.
     // Original program only — the intervals are composed for it, and the
     // rewritten variant's verdicts are already covered above.
-    let splan = audit_staticplan(program, floor);
+    let splan = check_intervals(&orig_truth, &composed);
     row.staticplan_checked = splan.checked.len() + 1; // + the aggregate
     for v in splan.violations() {
         row.staticplan_violations += 1;

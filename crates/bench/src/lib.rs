@@ -16,8 +16,9 @@
 //! | `fig5` | running time, P4, HW prefetch on: SW / HW / SW+HW |
 //! | `fig6` | L2 misses, P4: SW / HW / SW+HW |
 //! | `table_static` | static (umi-analyze) vs dynamic classification agreement |
-//! | `table_absint` | must-cache verdicts audited against exact simulation |
-//! | `table_staticplan` | composed miss-bound intervals audited + static-vs-dynamic plan A/B |
+//! | `table_absint` | must-cache verdicts checked against exact simulation ([`audit`]) |
+//! | `table_staticplan` | composed miss-bound intervals checked ([`audit`]) + static-vs-dynamic plan A/B |
+//! | `umi_lint` | the static gate: IR lints, plan checks, and both [`audit`] checks, one exact run per program |
 //! | `sensitivity` | §7.2 threshold & profile-length sweeps |
 //! | `ablations` | design-choice ablations from DESIGN.md §5 |
 //!
@@ -30,12 +31,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod absint_audit;
+pub mod audit;
 pub mod corr;
 pub mod engine;
 pub mod report;
-pub mod staticplan_audit;
 pub mod study;
+
+/// The interval audit's former path, which the `umibench` self-test
+/// (`umibench/src/ops.rs`) still imports.
+pub use audit as staticplan_audit;
 
 use umi_core::{SamplingMode, UmiConfig};
 use umi_workloads::{Scale, Suite};

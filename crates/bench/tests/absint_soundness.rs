@@ -1,19 +1,24 @@
 //! Soundness property for the abstract cache interpreter.
 //!
 //! [`absint_program`] promises per-site verdicts with auditable miss
-//! bounds; `audit_absint_with` replays the same program through the exact
-//! [`FullSimulator`] and evaluates every checkable verdict group's
-//! predicate. This property drives that audit over *randomized*
+//! bounds; a [`GroundTruth`] replays the same program through the exact
+//! `FullSimulator` and [`check_verdicts`] evaluates every checkable
+//! verdict group's predicate against it. This property drives that
+//! check over *randomized*
 //! geometries (set counts, associativities, line sizes) and randomized
 //! affine kernels (invariant refs, sub-line and line-crossing sweeps,
 //! pointer chases, prefetch hints the simulators ignore, conditional
 //! bodies, two-latch loops, trip counts down to 1), asserting that no
 //! verdict is ever contradicted — the same gate
 //! `umi_lint` runs over the 32-workload suite, minus every assumption
-//! about what the programs look like.
+//! about what the programs look like. From the same run it also holds
+//! the verdicts a composed report carries (`compose_program(..).sites`),
+//! which `umi_lint` checks for the original programs, to the same checks
+//! as `absint_program`'s rows, and checks the report's miss-count
+//! intervals.
 
-use umi_analyze::CacheGeometry;
-use umi_bench::absint_audit::audit_absint_with;
+use umi_analyze::{absint_program, compose_program, CacheGeometry};
+use umi_bench::audit::{check_intervals, check_verdicts, GroundTruth};
 use umi_cache::CacheConfig;
 use umi_ir::{MemRef, Program, ProgramBuilder, Reg, Width};
 use umi_testkit::{check, Xoshiro256pp};
@@ -154,8 +159,10 @@ fn absint_verdicts_sound_under_random_geometries_and_kernels() {
         let program = random_kernel(rng);
         assert_eq!(program.validate(), Ok(()));
         let (l1, l2) = random_geometries(rng);
-        let audit = audit_absint_with(&program, l1, l2, MAX_INSNS);
-        if let Some(v) = audit.violations().next() {
+        let (g1, g2) = (l1.geometry(), l2.geometry());
+        let truth = GroundTruth::measure(&program, l1, l2, MAX_INSNS);
+        let checks = check_verdicts(&truth, &absint_program(&program, &g1, &g2));
+        if let Some(v) = checks.iter().find(|c| !c.ok) {
             panic!(
                 "geometry {:?}: {:#x} {}",
                 l1.geometry(),
@@ -163,9 +170,31 @@ fn absint_verdicts_sound_under_random_geometries_and_kernels() {
                 v.violation_message()
             );
         }
-        classified += audit.checked.len() as u64;
-        hits += audit
-            .checked
+        let composed = compose_program(&program, &g1, &g2, 0.10);
+        let sites: Vec<_> = composed.sites.iter().map(|s| s.behavior).collect();
+        assert_eq!(
+            check_verdicts(&truth, &sites),
+            checks,
+            "composed sites and absint rows disagree"
+        );
+        // Every kernel halts within the fuel cap, so the composed
+        // intervals are checked against the same run.
+        let intervals = check_intervals(&truth, &composed);
+        if let Some(v) = intervals.violations().next() {
+            panic!(
+                "geometry {:?}: {:#x} {}",
+                l1.geometry(),
+                v.bound.pc.0,
+                v.violation_message()
+            );
+        }
+        assert!(
+            intervals.aggregate_ok,
+            "geometry {:?}: aggregate interval escaped",
+            l1.geometry()
+        );
+        classified += checks.len() as u64;
+        hits += checks
             .iter()
             .filter(|c| c.verdict == umi_analyze::Verdict::AlwaysHit)
             .count() as u64;

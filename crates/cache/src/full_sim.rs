@@ -3,7 +3,7 @@
 use crate::config::CacheConfig;
 use crate::delinquent::{delinquent_set, DelinquentSet};
 use crate::hierarchy::{Hierarchy, HitLevel};
-use crate::per_insn::{PcMissStats, PerPcStats};
+use crate::per_insn::PerPcStats;
 use crate::stats::CacheStats;
 use umi_vm::AccessSink;
 
@@ -28,16 +28,6 @@ use umi_vm::AccessSink;
 /// still coalesces. Outcomes, statistics, and replacement state are
 /// identical to the per-item path (run tails are L1 hits by construction);
 /// the batch-vs-per-item differential test enforces this.
-///
-/// # Sampled mode
-///
-/// [`FullSimulator::with_sampling`] builds a *set-sampled* simulator: only
-/// references whose line number falls in every `factor`-th sampling class
-/// are simulated, and per-pc counts are extrapolated by `factor`
-/// ([`FullSimulator::extrapolated_per_pc`]). Sampled sets still see their
-/// complete reference stream, so conflict and capacity behavior inside
-/// them is exact; miss *ratios* need no extrapolation at all. Off by
-/// default — exact mode is bit-for-bit unchanged.
 ///
 /// Feed it to a [`Vm`](umi_vm::Vm) run as the access sink, then extract the
 /// delinquent set:
@@ -70,15 +60,12 @@ pub struct FullSimulator {
     l2_stores: CacheStats,
     /// `log2(l1 line size)`, for same-line run detection.
     l1_shift: u32,
-    /// L1 line number of the most recent *simulated* demand reference
+    /// L1 line number of the most recent demand reference
     /// (`u64::MAX` = none yet). A reference to the same line is a
     /// guaranteed L1 hit: the previous reference left the line resident
     /// and nothing evicted it since. The only run state that outlives a
     /// sink call.
     cur_block: u64,
-    /// Set-sampling mask (`factor - 1`); zero = exact mode. A reference
-    /// is simulated iff `line_number & sample_mask == 0`.
-    sample_mask: u64,
     /// Whether per-instruction attribution is maintained (the default).
     /// See [`ratios_only`](Self::ratios_only).
     track_per_pc: bool,
@@ -102,7 +89,6 @@ impl FullSimulator {
             l2_stores: CacheStats::default(),
             l1_shift,
             cur_block: u64::MAX,
-            sample_mask: 0,
             track_per_pc: true,
             track_l1: false,
             l1_per_pc: PerPcStats::new(),
@@ -136,44 +122,9 @@ impl FullSimulator {
     }
 
     /// Per-instruction **L1** statistics (misses count L1 misses).
-    /// Empty unless built [`with_l1_audit`](Self::with_l1_audit). Raw
-    /// sampled counts in sampled mode, like [`per_pc`](Self::per_pc).
+    /// Empty unless built [`with_l1_audit`](Self::with_l1_audit).
     pub fn l1_per_pc(&self) -> &PerPcStats {
         &self.l1_per_pc
-    }
-
-    /// Creates a *set-sampled* simulator: only references whose line
-    /// number satisfies `line % factor == 0` are simulated, and
-    /// [`extrapolated_per_pc`](Self::extrapolated_per_pc) scales counts
-    /// back up by `factor`. `factor == 1` is exact mode.
-    ///
-    /// Because sets are power-of-two-many and lines map to sets by their
-    /// low bits, the filter selects every `factor`-th set *at both
-    /// levels* and those sets observe their complete reference streams —
-    /// classic set sampling, so within-set conflict behavior is exact and
-    /// only cross-set variance is sampled away.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `factor` is a power of two no larger than either
-    /// level's set count, and both levels share one line size (the filter
-    /// must pick whole sets at both levels).
-    pub fn with_sampling(l1: CacheConfig, l2: CacheConfig, factor: u32) -> FullSimulator {
-        assert!(
-            factor.is_power_of_two(),
-            "sampling factor {factor} not a power of two"
-        );
-        assert_eq!(
-            l1.line_size, l2.line_size,
-            "set sampling needs one line size across levels"
-        );
-        assert!(
-            (factor as usize) <= l1.sets.min(l2.sets),
-            "sampling factor {factor} exceeds the smaller set count"
-        );
-        let mut sim = FullSimulator::new(l1, l2);
-        sim.sample_mask = (factor - 1) as u64;
-        sim
     }
 
     /// A simulator of the paper's Pentium 4 memory system.
@@ -181,60 +132,18 @@ impl FullSimulator {
         FullSimulator::new(CacheConfig::pentium4_l1d(), CacheConfig::pentium4_l2())
     }
 
-    /// A set-sampled Pentium 4 simulator (see
-    /// [`with_sampling`](Self::with_sampling)).
-    pub fn pentium4_sampled(factor: u32) -> FullSimulator {
-        FullSimulator::with_sampling(
-            CacheConfig::pentium4_l1d(),
-            CacheConfig::pentium4_l2(),
-            factor,
-        )
-    }
-
     /// A simulator of the paper's AMD Athlon K7 memory system.
     pub fn k7() -> FullSimulator {
         FullSimulator::new(CacheConfig::k7_l1d(), CacheConfig::k7_l2())
     }
 
-    /// The set-sampling factor (1 in exact mode).
-    pub fn sample_factor(&self) -> u32 {
-        self.sample_mask as u32 + 1
-    }
-
     /// Per-instruction statistics accumulated so far.
-    ///
-    /// In sampled mode these are the *raw* counts over the sampled sets;
-    /// ratio-style consumers (miss ratios, delinquency coverage) can use
-    /// them directly, count-style consumers want
-    /// [`extrapolated_per_pc`](Self::extrapolated_per_pc).
     pub fn per_pc(&self) -> &PerPcStats {
         &self.per_pc
     }
 
-    /// Per-instruction statistics extrapolated to the full reference
-    /// stream: raw counts times the sampling factor. Identical to
-    /// [`per_pc`](Self::per_pc) in exact mode.
-    pub fn extrapolated_per_pc(&self) -> PerPcStats {
-        let f = self.sample_factor() as u64;
-        self.per_pc
-            .iter()
-            .map(|(pc, s)| {
-                (
-                    pc,
-                    PcMissStats {
-                        load_accesses: s.load_accesses * f,
-                        load_misses: s.load_misses * f,
-                        store_accesses: s.store_accesses * f,
-                        store_misses: s.store_misses * f,
-                    },
-                )
-            })
-            .collect()
-    }
-
     /// Overall L2 statistics (loads + stores), as the paper computes miss
-    /// ratios: L2 misses over L2 references. Raw sampled counts in
-    /// sampled mode (the ratio is unaffected by uniform scaling).
+    /// ratios: L2 misses over L2 references.
     pub fn l2_stats(&self) -> CacheStats {
         let mut s = self.l2_loads;
         s.merge(self.l2_stores);
@@ -272,33 +181,27 @@ impl AccessSink for FullSimulator {
         self.access_batch(std::slice::from_ref(&access));
     }
 
-    /// The one access loop, for sampled and exact mode and for
-    /// [`access`](Self::access) as a one-element batch. The demand
-    /// filter, sampling filter, and per-pc routing are resolved per item,
-    /// but the hierarchy is only consulted once per same-line run: run
-    /// tails are counted in locals and settled as one `l1_reuse_mru` call
-    /// when the run ends or the batch does, so every public accessor
-    /// observes settled state between sink calls. The run detector
-    /// (`cur_block`) spans batch boundaries, so per-block batches of a
-    /// streaming loop coalesce into one lookup per line, not one per
-    /// block.
-    ///
-    /// The sampling filter keys on the line number, so every reference of
-    /// a same-line run lands on the same side of it — a run is simulated
-    /// or skipped as a whole, and the run invariant (previous *simulated*
-    /// reference pinned the line) survives sampling.
+    /// The one access loop, also serving [`access`](Self::access) as a
+    /// one-element batch. The demand filter and per-pc routing are
+    /// resolved per item, but the hierarchy is only consulted once per
+    /// same-line run: run tails are counted in locals and settled as one
+    /// `l1_reuse_mru` call when the run ends or the batch does, so every
+    /// public accessor observes settled state between sink calls. The
+    /// run detector (`cur_block`) spans batch boundaries, so per-block
+    /// batches of a streaming loop coalesce into one lookup per line,
+    /// not one per block.
     fn access_batch(&mut self, batch: &[umi_ir::MemAccess]) {
         let mut cur_block = self.cur_block;
         let mut pending = 0u64;
         let mut pending_write = false;
         for a in batch {
-            let block = a.addr >> self.l1_shift;
-            if !a.is_demand() || block & self.sample_mask != 0 {
+            if !a.is_demand() {
                 continue;
             }
+            let block = a.addr >> self.l1_shift;
             let is_store = a.kind == umi_ir::AccessKind::Store;
             if block == cur_block {
-                // Same L1 line as the previous simulated reference: a
+                // Same L1 line as the previous demand reference: a
                 // guaranteed L1 hit — never reaches L2, never misses.
                 // Defer the L1 bookkeeping; only the per-pc tables need
                 // the item.
@@ -425,43 +328,6 @@ mod tests {
         for pc in 1..=6u64 {
             assert_eq!(batched.per_pc().get(Pc(pc)), itemized.per_pc().get(Pc(pc)));
         }
-    }
-
-    #[test]
-    fn sampling_filters_whole_lines_and_extrapolates() {
-        let factor = 4u32;
-        let mut exact = FullSimulator::pentium4();
-        let mut sampled = FullSimulator::pentium4_sampled(factor);
-        // Stream over 64 fresh lines, two references per line.
-        for i in 0..64u64 {
-            for a in [
-                acc(1, 0x100_0000 + i * 64, AccessKind::Load),
-                acc(1, 0x100_0020 + i * 64, AccessKind::Load),
-            ] {
-                exact.access(a);
-                sampled.access(a);
-            }
-        }
-        assert_eq!(sampled.sample_factor(), factor);
-        assert_eq!(exact.sample_factor(), 1);
-        // A quarter of the lines are simulated, miss behavior identical
-        // per line, so raw counts are a quarter and the ratio matches.
-        assert_eq!(sampled.l1_stats().accesses * factor as u64, 128);
-        assert_eq!(sampled.l2_miss_ratio(), exact.l2_miss_ratio());
-        let raw = sampled.per_pc().get(Pc(1));
-        let scaled = sampled.extrapolated_per_pc().get(Pc(1));
-        assert_eq!(scaled.load_accesses, raw.load_accesses * factor as u64);
-        assert_eq!(
-            scaled.load_accesses,
-            exact.per_pc().get(Pc(1)).load_accesses
-        );
-        assert_eq!(scaled.load_misses, exact.per_pc().get(Pc(1)).load_misses);
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn sampling_factor_must_be_power_of_two() {
-        let _ = FullSimulator::pentium4_sampled(3);
     }
 
     #[test]

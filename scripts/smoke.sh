@@ -3,8 +3,8 @@
 # harnesses at CI scale and require byte-identical output against the
 # golden files — with the parallel engine on (UMI_JOBS=2), so any
 # nondeterminism in the fan-out shows up as a diff. cache_sink doubles
-# as a correctness gate: it asserts sink agreement and the sampled-mode
-# error bound before printing.
+# as a correctness gate: it asserts that the full simulator and the
+# prefetch-off machine agree on every demand statistic.
 #
 # umi_lint is both a harness and a gate: it exits non-zero on any
 # Error-severity static diagnostic or when static-vs-dynamic delinquency
