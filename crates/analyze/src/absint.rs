@@ -154,7 +154,7 @@ pub struct CacheBehavior {
     /// Whether UMI's operation filter excludes it from profiling.
     pub filtered: bool,
     /// Whether the site sits inside a natural loop (the coverage
-    /// denominator of the `table_absint` report).
+    /// denominator of `umi_lint`'s must-cache verdict section).
     pub in_loop: bool,
     /// Verdict against the L1 geometry.
     pub l1: Verdict,

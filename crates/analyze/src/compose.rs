@@ -29,10 +29,10 @@
 //! whichever is larger), the minimum is `M_lo / A_hi`. Both collapse to
 //! the vacuous `[0, 1]` when the needed endpoint is unbounded.
 //!
-//! Everything here is audited end-to-end: the `table_staticplan` harness
-//! replays all 32 workloads through the exact [`FullSimulator`] per-PC
-//! tables and fails its run on any interval that does not contain the
-//! measured count.
+//! Everything here is audited end-to-end: the `umi_lint` gate runs all
+//! 32 workloads through the exact [`FullSimulator`] per-PC tables and
+//! fails its run on any interval that does not contain the measured
+//! count.
 //!
 //! [`FullSimulator`]: https://docs.rs/umi-cache
 //! [`predict_program`]: crate::predict_program
@@ -254,7 +254,7 @@ fn ratio_bounds(m: MissInterval, a: ExecBound) -> (f64, f64) {
 /// whole-program [`StaticReport`].
 ///
 /// `l1` / `l2` are the geometries the verdicts are proven against (and
-/// the ones `table_staticplan` audits with); `hot_miss_floor` is the
+/// the ones `umi_lint` audits with); `hot_miss_floor` is the
 /// delinquency floor a hot group's miss ratio must clear — pass the
 /// dynamic profiler's bottomed-out threshold to make the ranking
 /// comparable with `UmiReport` labels.

@@ -18,14 +18,14 @@
 //! * [`classify_program`] — a static affine/stride classifier that
 //!   symbolically evaluates effective addresses around loop back edges,
 //!   labeling every memory op constant-stride, loop-invariant, or
-//!   irregular. The `table_static` harness in `umi-bench` cross-checks
-//!   these labels against UMI's dynamic profiles on all 32 workloads.
+//!   irregular. The first section of `umi-bench`'s `umi_lint` report
+//!   checks these labels against UMI's dynamic profiles (32 workloads).
 //! * [`absint_program`] — an abstract interpreter composing the affine
 //!   facts with a constant-propagation layer ([`value_analysis`]) and
 //!   Ferdinand-style must-cache states ([`MustState`]), proving per-site
 //!   AlwaysHit / AlwaysMiss / Persistent cache verdicts that the full
-//!   simulator audits (the `table_absint` harness and the `umi_lint`
-//!   soundness gate).
+//!   simulator audits (the `umi_lint` soundness gate and its verdict
+//!   section).
 //! * [`ProgramFacts`] — the CFG, loop, constant and affine facts the
 //!   whole-program passes share, built at most once per program. Each
 //!   pass's free function builds one; [`ProgramFacts::absint`],

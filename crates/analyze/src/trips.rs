@@ -37,7 +37,7 @@
 //! the only first-iteration path can globally dominate a latch that
 //! later iterations reach around it. Minimums assume the audited run
 //! executes to completion (the harnesses run every workload to `Halt`)
-//! and that loops terminate; the `table_staticplan` gate audits both
+//! and that loops terminate; the `umi_lint` gate audits both
 //! directions against the exact simulator.
 
 use crate::affine::RegKind;

@@ -24,7 +24,7 @@
 //!
 //! A failed check is a soundness bug in the static layer — never a
 //! workload property — so `umi_lint` reports it at Error severity and
-//! `table_absint` / `table_staticplan` exit non-zero. The property test
+//! exits non-zero. The property test
 //! in `tests/absint_soundness.rs` drives both checks under randomized
 //! geometries and kernels.
 

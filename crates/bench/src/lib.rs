@@ -15,10 +15,7 @@
 //! | `fig4` | running time, AMD K7, ± SW prefetch |
 //! | `fig5` | running time, P4, HW prefetch on: SW / HW / SW+HW |
 //! | `fig6` | L2 misses, P4: SW / HW / SW+HW |
-//! | `table_static` | static (umi-analyze) vs dynamic classification agreement |
-//! | `table_absint` | must-cache verdicts checked against exact simulation ([`audit`]) |
-//! | `table_staticplan` | composed miss-bound intervals checked ([`audit`]) + static-vs-dynamic plan A/B |
-//! | `umi_lint` | the static gate: IR lints, plan checks, and both [`audit`] checks, one exact run per program |
+//! | `umi_lint` | the static report and gate, one section per pass: static vs dynamic reference classes; IR lints and plan checks; must-cache verdicts and composed miss-bound intervals checked against one exact run ([`audit`]); static-vs-dynamic plan A/B |
 //! | `sensitivity` | §7.2 threshold & profile-length sweeps |
 //! | `ablations` | design-choice ablations from DESIGN.md §5 |
 //!
@@ -49,6 +46,14 @@ pub fn scale_from_env() -> Scale {
     match std::env::var("UMI_SCALE").as_deref() {
         Ok("test") => Scale::Test,
         _ => Scale::Bench,
+    }
+}
+
+/// The name `UMI_SCALE` and the JSON reports use for a scale.
+pub fn scale_name(scale: Scale) -> &'static str {
+    match scale {
+        Scale::Test => "test",
+        Scale::Bench => "bench",
     }
 }
 

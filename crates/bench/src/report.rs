@@ -1,13 +1,15 @@
-//! The cross-PR throughput record: `results/BENCH_pipeline.json`.
+//! The per-harness throughput record: `results/BENCH_pipeline.json`.
 //!
 //! Every harness binary finishes by recording its per-cell simulated
 //! instruction throughput and total wall-clock here (via
-//! [`crate::engine::Harness::finish`]). The file is a single JSON object
-//! with one entry per harness; a run replaces its own entry and leaves
-//! the others in place, so a full sweep of the binaries accumulates the
-//! complete matrix. The file carries the perf trajectory across PRs —
-//! stdout of the harnesses is reserved for the paper tables/figures and
-//! never changes with this reporting.
+//! [`crate::engine::Harness::finish`]), relative to its working
+//! directory. The file is a single JSON object with one entry per
+//! harness; a run replaces its own entry and leaves the others in place,
+//! so a full sweep of the binaries accumulates the complete matrix. It
+//! holds the latest run of each harness on the host that made it, not a
+//! history: comparisons between revisions need interleaved runs on one
+//! host (README, "Performance"). Stdout of the harnesses is reserved for
+//! the paper tables/figures and never changes with this reporting.
 //!
 //! No JSON dependency is available offline, so the writer emits the
 //! format by hand and re-reads it with a small brace-matching scanner.
@@ -16,96 +18,8 @@
 //! dropped rather than corrupted further.
 
 use crate::engine::CellStat;
+use crate::scale_name;
 use umi_workloads::Scale;
-
-/// Wall-clock seconds of the seed revision's harnesses (best of 3,
-/// `UMI_SCALE=test`, single-core container, sequential) — the baseline
-/// the ≥2× acceptance bar is measured against.
-const SEED_BASELINE: &[(&str, f64)] = &[("table4", 21.06), ("table6", 6.94), ("fig3", 24.91)];
-
-/// Wall-clock seconds of the PR 1 revision (parallel engine + hot-path
-/// overhaul; best of interleaved A/B runs, `UMI_SCALE=test`,
-/// `UMI_JOBS=2`, single-core container) — the baseline the decoded
-/// code-cache PR measures its speedup against.
-const PR1_BASELINE: &[(&str, f64)] = &[("table4", 12.26), ("table6", 3.69), ("fig3", 6.65)];
-
-/// Wall-clock seconds of the PR 5 revision (the last one before the
-/// batched/SoA cache sink; best of 3, `UMI_SCALE=test`, `UMI_JOBS=1`,
-/// single-core container) — the baseline the batched-sink PR measures
-/// its speedup against.
-const PR5_BASELINE: &[(&str, f64)] = &[("table4", 11.95), ("table6", 3.31), ("fig3", 6.52)];
-
-/// Interleaved A/B wall-clock medians for the single-pass/batched-sink
-/// revision: `(harness, this build, PR 5 binaries)`, alternating runs
-/// within one session (16 samples each, `UMI_SCALE=test`, `UMI_JOBS=1`,
-/// single-core container). Recorded statically because the container's
-/// clock drifts ±20% between sessions — only interleaved pairs are
-/// comparable, so the live `speedup_vs_pr5` field (current wall over the
-/// PR 5 session's recording) can read high or low on any given run.
-const PR6_INTERLEAVED: &[(&str, f64, f64)] = &[
-    ("table4", 7.51, 10.52),
-    ("table6", 2.77, 3.52),
-    ("fig3", 5.04, 6.04),
-];
-
-/// Interleaved A/B wall-clock medians for the PGO-loop revision
-/// (self-profiled superinstructions + hot-first dispatch):
-/// `(harness, this build, PR 6 binaries)`, same protocol as
-/// [`PR6_INTERLEAVED`].
-const PR7_INTERLEAVED: &[(&str, f64, f64)] = &[
-    ("table4", 6.50, 8.58),
-    ("table6", 2.53, 2.59),
-    ("fig3", 4.82, 4.94),
-];
-
-/// Interleaved A/B wall-clock medians for the trace-cache revision
-/// (capture-once / replay-everywhere, warm `UMI_TRACE_DIR`):
-/// `(harness, this build, PR 7 binaries)`, same protocol as
-/// [`PR6_INTERLEAVED`]. Harness medians are break-even: after PR 7's
-/// superinstruction work, interpretation is a minority of cell cost
-/// (the cache-model sinks and the UMI analyzer dominate, and both run
-/// identically under replay), so skipping it roughly cancels against
-/// the load-and-validate tax. The per-cell picture is in the
-/// `trace_cache` entry: replaying the heaviest pass-1 cell (171.swim
-/// into the full Pentium 4 model) is ~1.3x live, and decode alone
-/// sustains ~400 M accesses/s.
-const PR8_INTERLEAVED: &[(&str, f64, f64)] = &[
-    ("table4", 5.98, 5.81),
-    ("table6", 2.53, 2.53),
-    ("fig3", 4.47, 4.26),
-];
-
-/// The PR 10 static-vs-dynamic prefetch-plan summary (`table_staticplan`
-/// at `UMI_SCALE=test`, `UMI_JOBS=2`, single-core container). Recorded
-/// statically like the interleaved medians: the live
-/// `harnesses.table_staticplan` entry tracks wall-clock per run, while
-/// this section pins the deterministic result the PR ships — every
-/// composed miss-count interval holding against exact simulation, and
-/// the static planner's A/B against dynamic UMI.
-const PR10_STATICPLAN: &str = "{\n    \"note\": \"static vs dynamic prefetch plans (table_staticplan, UMI_SCALE=test, UMI_JOBS=2, single-core container); every composed miss-count interval audited against exact simulation across the 32 workloads\",\n    \"table_staticplan_seconds\": 6.84,\n    \"interval_checks\": 61961,\n    \"violations\": 0,\n    \"planned_workloads\": 21,\n    \"geomean_static_normalized\": 0.857,\n    \"geomean_dynamic_normalized\": 0.842,\n    \"macro_avg_ranking_agreement_percent\": 25.0\n  }";
-
-/// `PR1_BASELINE` lookup.
-fn pr1_baseline(name: &str) -> Option<f64> {
-    PR1_BASELINE
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map(|(_, s)| *s)
-}
-
-/// `PR5_BASELINE` lookup.
-fn pr5_baseline(name: &str) -> Option<f64> {
-    PR5_BASELINE
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map(|(_, s)| *s)
-}
-
-fn scale_name(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Test => "test",
-        Scale::Bench => "bench",
-    }
-}
 
 fn mips(insns: u64, seconds: f64) -> f64 {
     if seconds <= 0.0 {
@@ -115,23 +29,13 @@ fn mips(insns: u64, seconds: f64) -> f64 {
 }
 
 /// Serializes one harness entry (the value object only, no name key).
-fn entry_json(name: &str, scale: Scale, jobs: usize, wall: f64, stats: &[CellStat]) -> String {
+fn entry_json(scale: Scale, jobs: usize, wall: f64, stats: &[CellStat]) -> String {
     let total_insns: u64 = stats.iter().map(|s| s.insns).sum();
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!("      \"scale\": \"{}\",\n", scale_name(scale)));
     out.push_str(&format!("      \"jobs\": {jobs},\n"));
     out.push_str(&format!("      \"wall_seconds\": {wall:.3},\n"));
-    if let Some(base) = pr1_baseline(name) {
-        if wall > 0.0 {
-            out.push_str(&format!("      \"speedup_vs_pr1\": {:.2},\n", base / wall));
-        }
-    }
-    if let Some(base) = pr5_baseline(name) {
-        if wall > 0.0 {
-            out.push_str(&format!("      \"speedup_vs_pr5\": {:.2},\n", base / wall));
-        }
-    }
     out.push_str(&format!("      \"total_insns\": {total_insns},\n"));
     out.push_str(&format!(
         "      \"minsns_per_sec\": {:.2},\n",
@@ -202,71 +106,6 @@ fn render(entries: &[(String, String)]) -> String {
     out.push_str(
         "  \"note\": \"simulated-instruction throughput per umi-bench harness; each binary rewrites its own entry on every run\",\n",
     );
-    out.push_str("  \"seed_baseline\": {\n");
-    out.push_str(
-        "    \"note\": \"seed-revision wall-clock, UMI_SCALE=test, best of 3, sequential, single-core container\",\n",
-    );
-    for (i, (name, secs)) in SEED_BASELINE.iter().enumerate() {
-        let comma = if i + 1 < SEED_BASELINE.len() { "," } else { "" };
-        out.push_str(&format!("    \"{name}\": {secs:.2}{comma}\n"));
-    }
-    out.push_str("  },\n");
-    out.push_str("  \"pr1_baseline\": {\n");
-    out.push_str(
-        "    \"note\": \"PR 1 wall-clock, UMI_SCALE=test, UMI_JOBS=2, best of interleaved A/B, single-core container\",\n",
-    );
-    for (i, (name, secs)) in PR1_BASELINE.iter().enumerate() {
-        let comma = if i + 1 < PR1_BASELINE.len() { "," } else { "" };
-        out.push_str(&format!("    \"{name}\": {secs:.2}{comma}\n"));
-    }
-    out.push_str("  },\n");
-    out.push_str("  \"pr5_baseline\": {\n");
-    out.push_str(
-        "    \"note\": \"PR 5 wall-clock, UMI_SCALE=test, UMI_JOBS=1, best of 3, single-core container; the batched cache-sink PR measures against this\",\n",
-    );
-    for (i, (name, secs)) in PR5_BASELINE.iter().enumerate() {
-        let comma = if i + 1 < PR5_BASELINE.len() { "," } else { "" };
-        out.push_str(&format!("    \"{name}\": {secs:.2}{comma}\n"));
-    }
-    out.push_str("  },\n");
-    let interleaved = |out: &mut String,
-                       key: &str,
-                       note: &str,
-                       old_key: &str,
-                       rows: &[(&str, f64, f64)]| {
-        out.push_str(&format!("  \"{key}\": {{\n"));
-        out.push_str(&format!("    \"note\": \"{note}\",\n"));
-        for (i, (name, new, old)) in rows.iter().enumerate() {
-            let comma = if i + 1 < rows.len() { "," } else { "" };
-            out.push_str(&format!(
-                "    \"{name}\": {{\"new_seconds\": {new:.2}, \"{old_key}\": {old:.2}, \"speedup\": {:.2}}}{comma}\n",
-                if *new > 0.0 { old / new } else { 0.0 }
-            ));
-        }
-        out.push_str("  },\n");
-    };
-    interleaved(
-        &mut out,
-        "pr6_interleaved",
-        "single-pass cells + batched SoA sink vs PR 5 binaries: interleaved A/B medians (16 samples each), UMI_SCALE=test, UMI_JOBS=1, single-core container",
-        "pr5_seconds",
-        PR6_INTERLEAVED,
-    );
-    interleaved(
-        &mut out,
-        "pr7_interleaved",
-        "self-profiled superinstructions + hot-first dispatch vs PR 6 binaries: interleaved A/B medians (9 samples each), UMI_SCALE=test, UMI_JOBS=1, single-core container",
-        "pr6_seconds",
-        PR7_INTERLEAVED,
-    );
-    interleaved(
-        &mut out,
-        "pr8_interleaved",
-        "trace cache (warm UMI_TRACE_DIR replay) vs PR 7 binaries: interleaved A/B medians (9 samples each), UMI_SCALE=test, UMI_JOBS=1, single-core container",
-        "pr7_seconds",
-        PR8_INTERLEAVED,
-    );
-    out.push_str(&format!("  \"pr10_staticplan\": {PR10_STATICPLAN},\n"));
     out.push_str("  \"harnesses\": {\n");
     for (i, (name, body)) in entries.iter().enumerate() {
         let comma = if i + 1 < entries.len() { "," } else { "" };
@@ -282,7 +121,7 @@ fn render(entries: &[(String, String)]) -> String {
 /// Best-effort: failures land on stderr, never on stdout and never as a
 /// panic — a missing or read-only `results/` must not fail a harness.
 pub fn record(name: &str, scale: Scale, jobs: usize, wall: f64, stats: &[CellStat]) {
-    record_raw(name, entry_json(name, scale, jobs, wall, stats));
+    record_raw(name, entry_json(scale, jobs, wall, stats));
 }
 
 /// Replaces (or adds) `name`'s entry with a caller-built value object.
@@ -327,11 +166,7 @@ mod tests {
             stat("164.gzip", 0.5, 1_000_000),
             stat("181.mcf", 1.25, 2_000_000),
         ];
-        let body = entry_json("fig3", Scale::Test, 4, 1.75, &stats);
-        assert!(
-            body.contains("speedup_vs_pr1"),
-            "known harness gets a speedup field"
-        );
+        let body = entry_json(Scale::Test, 4, 1.75, &stats);
         let file = render(&[("fig3".to_string(), body.clone())]);
         let parsed = parse_entries(&file).expect("own output must parse");
         assert_eq!(parsed.len(), 1);
@@ -341,8 +176,8 @@ mod tests {
 
     #[test]
     fn multiple_entries_survive_a_rewrite() {
-        let a = entry_json("table4", Scale::Test, 1, 2.0, &[stat("a", 1.0, 10)]);
-        let b = entry_json("table6", Scale::Bench, 2, 3.0, &[stat("b", 1.5, 20)]);
+        let a = entry_json(Scale::Test, 1, 2.0, &[stat("a", 1.0, 10)]);
+        let b = entry_json(Scale::Bench, 2, 3.0, &[stat("b", 1.5, 20)]);
         let file = render(&[("table4".into(), a.clone()), ("table6".into(), b.clone())]);
         let parsed = parse_entries(&file).expect("parses");
         assert_eq!(

@@ -106,9 +106,9 @@ pub struct UmiConfig {
     /// ([`crate::RefPattern`]) for *every* profiled operation the analyzer
     /// drains, not just predicted delinquent loads. Off by default: the
     /// paper's pipeline only needs strides for its predicted set, and the
-    /// extra per-column pass is pure introspection. The `table_static`
-    /// harness enables it to cross-check UMI's dynamic view against the
-    /// static affine classifier in `umi-analyze`.
+    /// extra per-column pass is pure introspection (nothing else in the
+    /// report changes). The `umi_lint` static report turns it on in the one
+    /// UMI run all its sections read, to check the static classifier.
     pub classify_patterns: bool,
 }
 

@@ -57,7 +57,7 @@ pub fn classify_default(column: &[u64]) -> Option<RefPattern> {
 /// analyzer invocations: one vote per drained address-profile column the
 /// instruction appeared in. Filled by the runtime when
 /// [`UmiConfig::classify_patterns`](crate::UmiConfig::classify_patterns)
-/// is set; consumed by the `table_static` harness, which compares the
+/// is set; consumed by the `umi_lint` static report, which compares the
 /// dominant dynamic pattern against the static affine classifier.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PatternTally {

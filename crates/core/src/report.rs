@@ -116,7 +116,7 @@ impl UmiReport {
 
     /// The predicted delinquent loads ranked by profiled L2 miss volume
     /// (descending, ties by pc) — the dynamic ranking that static
-    /// delinquency rankings are scored against in `table_staticplan`.
+    /// delinquency rankings are scored against in `umi_lint`.
     pub fn ranked_delinquents(&self) -> Vec<Pc> {
         let mut ranked: Vec<Pc> = self.predicted.iter().copied().collect();
         ranked.sort_by_key(|pc| (std::cmp::Reverse(self.per_pc.get(*pc).load_misses), *pc));

@@ -20,7 +20,7 @@
 //!   planner uses (sign preserved for descending sweeps).
 //!
 //! The output feeds the existing [`inject_prefetches`] rewriting path
-//! unchanged, so the `table_staticplan` study can run static and dynamic
+//! unchanged, so `umi_lint`'s plan A/B can run static and dynamic
 //! plans through the identical machinery and attribute every cycle of
 //! difference to plan *content*, not plumbing.
 //!

@@ -7,6 +7,7 @@ use umi::core::{PredictionQuality, UmiConfig, UmiRuntime};
 use umi::dbi::{CostModel, DbiRuntime};
 use umi::hw::{Platform, PrefetchSetting};
 use umi::prefetch::harness::{run_dbi, run_native, run_umi, run_umi_prefetch};
+use umi::prefetch::PrefetchPlan;
 use umi::vm::{NullSink, Vm};
 use umi::workloads::{build, Scale};
 
@@ -174,4 +175,51 @@ fn hardware_prefetch_lowers_hw_ratios() {
     let off = run_native(&program, Platform::pentium4(), PrefetchSetting::Off);
     let on = run_native(&program, Platform::pentium4(), PrefetchSetting::Full);
     assert!(on.counters.l2_misses < off.counters.l2_misses);
+}
+
+/// Pattern classification is pure introspection: turning
+/// `classify_patterns` on adds pattern tallies and changes nothing else a
+/// no-sampling run reports, so one run serves both the static-vs-dynamic
+/// pattern cross-check and the delinquency passes of `umi_lint`. One
+/// workload per suite group of the 32.
+#[test]
+fn pattern_classification_is_pure_introspection() {
+    for name in ["171.swim", "181.mcf", "ft"] {
+        let program = build(name, Scale::Test).expect("workload");
+        let run = |classify_patterns: bool| {
+            let config = UmiConfig {
+                classify_patterns,
+                ..UmiConfig::no_sampling()
+            };
+            UmiRuntime::new(&program, config).run(&mut NullSink, u64::MAX)
+        };
+        let (off, on) = (run(false), run(true));
+        assert!(off.patterns.is_empty() && !on.patterns.is_empty(), "{name}");
+        assert_eq!(off.vm_stats, on.vm_stats, "{name}: architecture changed");
+        assert_eq!(off.ranked_delinquents(), on.ranked_delinquents(), "{name}");
+        assert!(
+            !off.ranked_delinquents().is_empty(),
+            "{name}: nothing ranked"
+        );
+        // Every planned pc is a program pc, so equal lengths and equal
+        // entries at every pc make the two plans equal.
+        let [plan_off, plan_on] = [&off, &on].map(|r| PrefetchPlan::from_report(r, 32));
+        assert_eq!(
+            plan_off.len(),
+            plan_on.len(),
+            "{name}: dynamic plan changed"
+        );
+        for pc in program.pc_to_block().keys() {
+            assert_eq!(
+                off.delinquency_label(*pc),
+                on.delinquency_label(*pc),
+                "{name}: label of {pc:?} changed"
+            );
+            assert_eq!(
+                plan_off.get(*pc),
+                plan_on.get(*pc),
+                "{name}: plan at {pc:?}"
+            );
+        }
+    }
 }
