@@ -2,11 +2,18 @@
 //! sensitive to the choice of prefetch distances. It turns out that UMI
 //! was able to pick a prefetch distance that is closer to the optimal
 //! prefetching distance compared to the hardware prefetcher").
+//!
+//! One introspection pass per workload, with a prefetch-off P4 machine
+//! as its sink: the report plans every distance, and the machine's
+//! counters are the native baseline (the DBI forwards the exact native
+//! stream, as in the study harness). Only each distance's rewrite runs
+//! again.
 
 use umi_bench::scale_from_env;
-use umi_core::UmiConfig;
-use umi_hw::{Platform, PrefetchSetting};
-use umi_prefetch::harness::{run_native, run_umi_prefetch};
+use umi_core::{introspect_cached, UmiConfig};
+use umi_hw::{Machine, Platform, PrefetchSetting};
+use umi_prefetch::harness::{run_umi, RunOutcome};
+use umi_prefetch::{inject_prefetches, PrefetchPlan};
 use umi_workloads::build;
 
 fn main() {
@@ -18,22 +25,46 @@ fn main() {
         print!(" {d:>7}");
     }
     println!();
+    let config = UmiConfig::no_sampling();
+    let mut footnotes = Vec::new();
     for name in ["ft", "179.art", "470.lbm", "171.swim"] {
         let program = build(name, scale).expect("known workload");
-        let native = run_native(&program, Platform::pentium4(), PrefetchSetting::Off);
+        let mut machine = Machine::new(Platform::pentium4(), PrefetchSetting::Off);
+        let report = introspect_cached(&program, &config, &[], &mut machine).report;
+        let insns = report.vm_stats.insns;
+        let native = RunOutcome {
+            cycles: machine.total_cycles(insns),
+            counters: machine.counters(),
+            insns,
+        };
         print!("{name:<12}");
+        let mut row = Vec::new();
         for d in distances {
-            let (opt, _, _) = run_umi_prefetch(
-                &program,
-                UmiConfig::no_sampling(),
+            let optimized = inject_prefetches(&program, &PrefetchPlan::from_report(&report, d));
+            let (opt, _) = run_umi(
+                &optimized,
+                config.clone(),
                 Platform::pentium4(),
                 PrefetchSetting::Off,
-                d,
             );
-            print!(" {:>7.3}", opt.relative_to(&native));
+            let time = opt.relative_to(&native);
+            print!(" {time:>7.3}");
+            row.push(time);
         }
         println!();
+        let min = row.iter().copied().fold(f64::INFINITY, f64::min);
+        let max = row.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let best = distances[row
+            .iter()
+            .position(|&t| t == min)
+            .expect("min is a row value")];
+        footnotes.push(format!(
+            "{name}: best distance {best} ({min:.3}), spread {:.3}",
+            max - min
+        ));
     }
-    println!("\n(the best distance sits in the middle of the sweep; too short is");
-    println!(" not timely, too long pollutes and overruns the stream)");
+    println!();
+    for line in footnotes {
+        println!("{line}");
+    }
 }

@@ -199,7 +199,7 @@ impl Harness {
     }
 
     /// Records an already-measured batch of cells (for harnesses that
-    /// fan out through [`crate::study::prefetch_cells`]).
+    /// fan out through [`crate::study::prefetch_cells_for`]).
     pub fn absorb(&mut self, stats: Vec<CellStat>) {
         self.stats.extend(stats);
     }

@@ -11,10 +11,8 @@
 //! | `table5` | SPEC CPU2006 correlations |
 //! | `table6` | delinquent-load prediction quality |
 //! | `fig2` | runtime overhead (DBI / UMI / UMI+sampling) |
-//! | `fig3` | running time, P4, HW prefetch off, ± SW prefetch |
-//! | `fig4` | running time, AMD K7, ± SW prefetch |
-//! | `fig5` | running time, P4, HW prefetch on: SW / HW / SW+HW |
-//! | `fig6` | L2 misses, P4: SW / HW / SW+HW |
+//! | `prefetch_figs` | Figures 3–6, one section each: running time ± SW prefetch on the P4 (HW prefetch off) and the K7; P4 running time and L2 misses under SW / HW / SW+HW prefetch |
+//! | `distance` | §8 prefetch-distance sweep |
 //! | `umi_lint` | the static report and gate, one section per pass: static vs dynamic reference classes; IR lints and plan checks; must-cache verdicts and composed miss-bound intervals checked against one exact run ([`audit`]); static-vs-dynamic plan A/B |
 //! | `sensitivity` | §7.2 threshold & profile-length sweeps |
 //! | `ablations` | design-choice ablations from DESIGN.md §5 |

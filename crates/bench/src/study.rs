@@ -3,10 +3,10 @@
 use crate::engine::{run_cells, Cell, CellStat};
 use umi_core::{introspect_cached, introspect_traced, UmiConfig, UmiRuntime};
 use umi_hw::{Machine, Platform, PrefetchSetting};
-use umi_prefetch::harness::{run_native_trace, run_umi, RunOutcome};
+use umi_prefetch::harness::{run_native_trace, RunOutcome};
 use umi_prefetch::{inject_prefetches, PrefetchPlan};
 use umi_vm::Tee;
-use umi_workloads::{all32, Scale, WorkloadSpec};
+use umi_workloads::{Scale, WorkloadSpec};
 
 /// Measurements for one prefetch-friendly workload.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -23,8 +23,8 @@ pub struct PrefetchRow {
     /// "SW" bar).
     pub umi_sw_off: RunOutcome,
     /// Native with the platform's HW prefetchers (Fig. 5 "HW" bar).
-    /// `None` when the study ran with `hw_variants` off (Figs. 3/4 never
-    /// read it, and on the K7 it would equal `native_off` anyway).
+    /// `None` on a platform without them (the K7), where it would equal
+    /// `native_off`.
     pub native_hw: Option<RunOutcome>,
     /// UMI + SW prefetch with HW prefetch on (Fig. 5 "SW+HW" bar);
     /// `None` under the same conditions as `native_hw`.
@@ -39,7 +39,6 @@ fn study_cell(
     scale: Scale,
     platform: &Platform,
     config: &UmiConfig,
-    hw_variants: bool,
 ) -> Cell<Option<PrefetchRow>> {
     let program = spec.build(scale);
     let mut insns = 0u64;
@@ -54,7 +53,7 @@ fn study_cell(
     // variants re-drive the pass-1 stream through a prefetch-on machine
     // later, so they force capture even without a cross-process cache.
     let mut machine_off = Machine::new(platform.clone(), PrefetchSetting::Off);
-    let ci = if hw_variants {
+    let ci = if platform.has_hw_prefetch {
         introspect_traced(&program, config, &[], &mut machine_off)
     } else {
         introspect_cached(&program, config, &[], &mut machine_off)
@@ -88,7 +87,9 @@ fn study_cell(
     // interpretation. Only the native-HW bar still needs its own run
     // (nothing else interprets the unmodified program with prefetch on).
     let mut sw_off = Machine::new(platform.clone(), PrefetchSetting::Off);
-    let mut sw_hw = hw_variants.then(|| Machine::new(platform.clone(), PrefetchSetting::Full));
+    let mut sw_hw = platform
+        .has_hw_prefetch
+        .then(|| Machine::new(platform.clone(), PrefetchSetting::Full));
     let mut umi2 = UmiRuntime::new(&optimized, config.clone());
     let report2 = match sw_hw.as_mut() {
         Some(hw) => {
@@ -115,7 +116,7 @@ fn study_cell(
         counters: hw.counters(),
         insns: pass2_insns,
     });
-    let native_hw = if hw_variants {
+    let native_hw = if platform.has_hw_prefetch {
         // Replayed, not re-interpreted: the prefetch setting changes only
         // machine-internal behaviour, so the pass-1 trace drives the
         // prefetch-on machine to exactly the state a live run reaches.
@@ -144,49 +145,24 @@ fn study_cell(
     }
 }
 
-/// Runs the §8 study on every workload with a prefetching opportunity,
-/// fanned out over `jobs` engine workers (cells are per-workload and
-/// independent; rows come back in suite order at any job count).
+/// Runs the §8 study on `specs`, fanned out over `jobs` engine workers
+/// (cells are per-workload and independent; rows come back in `specs`
+/// order at any job count). The harness passes the whole suite, the
+/// tests a subset.
 ///
 /// "Of the 32 benchmarks in our suite, we discovered prefetching
 /// opportunities for 11 of them" — here the set is whatever the planner
-/// finds a confident stride for. With `hw_variants` off the rows carry
-/// only the prefetch-off measurements (all Figures 3/4 need).
-pub fn prefetch_cells(
-    scale: Scale,
-    platform: &Platform,
-    config: &UmiConfig,
-    hw_variants: bool,
-    jobs: usize,
-) -> (Vec<PrefetchRow>, Vec<CellStat>) {
-    prefetch_cells_for(&all32(), scale, platform, config, hw_variants, jobs)
-}
-
-/// [`prefetch_cells`] over an explicit workload list (tests study a
-/// subset; the harnesses always pass the full suite).
+/// finds a confident stride for. On a platform with HW prefetchers the
+/// rows also carry the prefetch-on variants (Figures 5/6).
 pub fn prefetch_cells_for(
     specs: &[WorkloadSpec],
     scale: Scale,
     platform: &Platform,
     config: &UmiConfig,
-    hw_variants: bool,
     jobs: usize,
 ) -> (Vec<PrefetchRow>, Vec<CellStat>) {
     let (rows, stats) = run_cells(jobs, specs, |spec| {
-        study_cell(spec, scale, platform, config, hw_variants)
+        study_cell(spec, scale, platform, config)
     });
     (rows.into_iter().flatten().collect(), stats)
-}
-
-/// [`prefetch_cells`] with the full measurement set and the `UMI_JOBS`
-/// worker count — the drop-in equivalent of the old sequential study.
-pub fn prefetch_study(scale: Scale, platform: &Platform, config: &UmiConfig) -> Vec<PrefetchRow> {
-    let jobs = crate::engine::jobs_from_env();
-    prefetch_cells(scale, platform, config, true, jobs).0
-}
-
-/// Re-plans a single workload (used by ablations that vary the distance).
-pub fn plan_for(program: &umi_ir::Program, config: UmiConfig, distance_refs: i64) -> PrefetchPlan {
-    let (_, report) = run_umi(program, config, Platform::pentium4(), PrefetchSetting::Off);
-    PrefetchPlan::from_report(&report, distance_refs)
 }

@@ -27,7 +27,6 @@ fn prefetch_study_rows_identical_across_job_counts() {
             Scale::Test,
             &Platform::pentium4(),
             &sampled_config(Scale::Test),
-            true,
             jobs,
         )
         .0
@@ -53,7 +52,6 @@ fn prefetch_stats_keep_workload_order() {
             Scale::Test,
             &Platform::k7(),
             &sampled_config(Scale::Test),
-            false,
             jobs,
         )
     };

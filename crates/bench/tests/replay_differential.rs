@@ -1,9 +1,10 @@
-//! Suite-wide differential test: for every workload, a replayed
-//! introspection run must be *byte-identical* to the live one — same
-//! UMI report, same full-simulator statistics, same hardware-machine
-//! counters, same shadow mini-simulator ratios. This is the identity
-//! the trace cache rests on: if it holds for all 32 workloads, swapping
-//! replay in for live interpretation can never change a golden.
+//! Suite-wide differential test: for every workload and its prefetch
+//! rewrite, a replayed introspection run must be *byte-identical* to
+//! the live one — same UMI report, same full-simulator statistics, same
+//! hardware-machine counters, same shadow mini-simulator ratios. This
+//! is the identity the trace cache rests on: if it holds for all 32
+//! workloads, swapping replay in for live interpretation can never
+//! change a golden.
 //!
 //! `UmiReport` deliberately has no `PartialEq` (its per-pc table is an
 //! open-addressed map whose layout is an implementation detail), so
@@ -13,6 +14,9 @@
 use std::fmt::Write as _;
 use umi_core::{introspect_traced, UmiConfig, UmiReport};
 use umi_hw::{Machine, Platform, PrefetchSetting};
+use umi_ir::Program;
+use umi_prefetch::{inject_prefetches, PrefetchPlan};
+use umi_vm::Tee;
 use umi_workloads::{all32, Scale};
 
 /// Deterministic rendering of a report: sorted sets/maps, exact floats
@@ -71,6 +75,87 @@ fn canonical(r: &UmiReport) -> String {
     out
 }
 
+/// Runs `program` live and then replayed under the same introspection,
+/// and requires every observer to agree; returns the live report.
+fn assert_replay_matches_live(program: &Program, label: &str, shadow: &UmiConfig) -> UmiReport {
+    // First call: cache miss, runs live, captures and publishes
+    // (forced — no `UMI_TRACE_DIR` in the test environment). A
+    // prefetch-on machine rides the live run beside the exact
+    // simulator: it is the one observer here that reacts to prefetch
+    // hints, which `FullSimulator` ignores.
+    let mut full_live = umi_cache::FullSimulator::pentium4();
+    let mut hw_live = Machine::new(Platform::pentium4(), PrefetchSetting::Full);
+    let live = introspect_traced(
+        program,
+        &UmiConfig::no_sampling(),
+        std::slice::from_ref(shadow),
+        &mut Tee(&mut full_live, &mut hw_live),
+    );
+    assert!(!live.replayed, "{label}: first run must be live");
+
+    // Second call: same program, must hit the in-memory cache.
+    let mut full_replay = umi_cache::FullSimulator::pentium4();
+    let replay = introspect_traced(
+        program,
+        &UmiConfig::no_sampling(),
+        std::slice::from_ref(shadow),
+        &mut full_replay,
+    );
+    assert!(replay.replayed, "{label}: second run must replay");
+
+    // The whole introspection result is identical.
+    assert_eq!(
+        canonical(&live.report),
+        canonical(&replay.report),
+        "{label}: UMI report diverged under replay"
+    );
+    assert_eq!(
+        live.shadow_miss_ratios, replay.shadow_miss_ratios,
+        "{label}: shadow mini-sim diverged under replay"
+    );
+
+    // So is everything the sink saw.
+    assert_eq!(
+        full_live.l1_stats(),
+        full_replay.l1_stats(),
+        "{label}: L1 diverged"
+    );
+    assert_eq!(
+        full_live.l2_stats(),
+        full_replay.l2_stats(),
+        "{label}: L2 diverged"
+    );
+    assert_eq!(
+        full_live.l2_writebacks(),
+        full_replay.l2_writebacks(),
+        "{label}: writebacks diverged"
+    );
+
+    // And a consumer driven purely from the trace (no DBI stack at all)
+    // agrees with the one that rode the live run.
+    let trace = replay.trace.as_ref().expect("replay returns its trace");
+    let mut hw_replay = Machine::new(Platform::pentium4(), PrefetchSetting::Full);
+    trace.replay_into(&mut hw_replay);
+    assert_eq!(
+        hw_live.counters(),
+        hw_replay.counters(),
+        "{label}: machine counters diverged"
+    );
+    assert_eq!(
+        hw_live.stall_cycles(),
+        hw_replay.stall_cycles(),
+        "{label}: machine stalls diverged"
+    );
+
+    // The trace's summary is the live run's architectural truth.
+    assert_eq!(
+        trace.summary().stats,
+        live.report.vm_stats,
+        "{label}: trace summary disagrees with live stats"
+    );
+    live.report
+}
+
 #[test]
 fn replay_is_byte_identical_to_live_for_all_workloads() {
     let scale = Scale::Test;
@@ -78,88 +163,13 @@ fn replay_is_byte_identical_to_live_for_all_workloads() {
     shadow.sim_l1_filter = umi_cache::CacheConfig::k7_l1d();
     for spec in all32() {
         let program = spec.build(scale);
-
-        // First call: cache miss, runs live, captures and publishes
-        // (forced — no `UMI_TRACE_DIR` in the test environment).
-        let mut full_live = umi_cache::FullSimulator::pentium4();
-        let live = introspect_traced(
-            &program,
-            &UmiConfig::no_sampling(),
-            std::slice::from_ref(&shadow),
-            &mut full_live,
-        );
-        assert!(!live.replayed, "{}: first run must be live", spec.name);
-
-        // Second call: same program, must hit the in-memory cache.
-        let mut full_replay = umi_cache::FullSimulator::pentium4();
-        let replay = introspect_traced(
-            &program,
-            &UmiConfig::no_sampling(),
-            std::slice::from_ref(&shadow),
-            &mut full_replay,
-        );
-        assert!(replay.replayed, "{}: second run must replay", spec.name);
-
-        // The whole introspection result is identical.
-        assert_eq!(
-            canonical(&live.report),
-            canonical(&replay.report),
-            "{}: UMI report diverged under replay",
-            spec.name
-        );
-        assert_eq!(
-            live.shadow_miss_ratios, replay.shadow_miss_ratios,
-            "{}: shadow mini-sim diverged under replay",
-            spec.name
-        );
-
-        // So is everything the sink saw.
-        assert_eq!(
-            full_live.l1_stats(),
-            full_replay.l1_stats(),
-            "{}: L1 diverged",
-            spec.name
-        );
-        assert_eq!(
-            full_live.l2_stats(),
-            full_replay.l2_stats(),
-            "{}: L2 diverged",
-            spec.name
-        );
-        assert_eq!(
-            full_live.l2_writebacks(),
-            full_replay.l2_writebacks(),
-            "{}: writebacks diverged",
-            spec.name
-        );
-
-        // And a consumer driven purely from the trace (no DBI stack at
-        // all) agrees with one that rode the live run.
-        let mut hw_live = Machine::new(Platform::pentium4(), PrefetchSetting::Full);
-        let mut hw_replay = Machine::new(Platform::pentium4(), PrefetchSetting::Full);
-        let live_trace = live.trace.as_ref().expect("traced run keeps its capture");
-        let replay_trace = replay.trace.as_ref().expect("replay returns its trace");
-        live_trace.replay_into(&mut hw_live);
-        replay_trace.replay_into(&mut hw_replay);
-        assert_eq!(
-            hw_live.counters(),
-            hw_replay.counters(),
-            "{}: machine counters diverged",
-            spec.name
-        );
-        assert_eq!(
-            hw_live.stall_cycles(),
-            hw_replay.stall_cycles(),
-            "{}: machine stalls diverged",
-            spec.name
-        );
-
-        // The trace's summary is the live run's architectural truth.
-        assert_eq!(
-            live_trace.summary().stats,
-            live.report.vm_stats,
-            "{}: trace summary disagrees with live stats",
-            spec.name
-        );
+        let report = assert_replay_matches_live(&program, spec.name, &shadow);
+        // The prefetch study's rewrite of the same workload: the only
+        // programs in the suite whose traces carry prefetch hints.
+        let plan = PrefetchPlan::from_report(&report, 32);
+        if !plan.is_empty() {
+            let rewritten = inject_prefetches(&program, &plan);
+            assert_replay_matches_live(&rewritten, &format!("{} (rewritten)", spec.name), &shadow);
+        }
     }
 }

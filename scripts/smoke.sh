@@ -32,7 +32,7 @@ trap 'rm -rf "$tmp"' EXIT
 work="$tmp/work"
 mkdir "$work"
 
-harnesses="table6 table4 fig3 umi_lint cache_sink table_profile vm_dispatch"
+harnesses="table6 table4 prefetch_figs umi_lint cache_sink table_profile vm_dispatch"
 
 for bin in $harnesses; do
     status=0
