@@ -98,6 +98,11 @@ impl<'p> ProgramFacts<'p> {
         }
     }
 
+    /// The program these facts describe.
+    pub fn program(&self) -> &'p Program {
+        self.program
+    }
+
     /// Innermost containing loop per block ([`innermost_loop_map`]).
     pub fn innermost(&self) -> &[Option<(usize, usize)>] {
         &self.innermost

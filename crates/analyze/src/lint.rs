@@ -117,7 +117,18 @@ fn pure_def(insn: &Insn) -> bool {
 /// The result is sorted by `(pc, kind, block)` and depends only on the
 /// program, never on map iteration order.
 pub fn lint_program(program: &Program) -> Vec<Lint> {
-    let facts = ProgramFacts::new(program);
+    ProgramFacts::new(program).lint()
+}
+
+impl ProgramFacts<'_> {
+    /// [`lint_program`] over these facts.
+    pub fn lint(&self) -> Vec<Lint> {
+        lint(self)
+    }
+}
+
+fn lint(facts: &ProgramFacts<'_>) -> Vec<Lint> {
+    let program = facts.program;
     let lv = liveness(program, &facts.cfg);
     let mut out = Vec::new();
 

@@ -1,5 +1,7 @@
 //! Microbenchmarks of UMI's hot paths: the mini cache simulator (the
-//! analyzer's inner loop) and the underlying set-associative cache.
+//! analyzer's inner loop), stride discovery over address-profile columns
+//! (the analyzer's other half), and the underlying set-associative
+//! cache.
 //!
 //! The paper's practicality claim rests on the analyzer being cheap
 //! relative to the profiled execution; these benches quantify the
@@ -12,7 +14,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 use umi_cache::{CacheConfig, SetAssocCache};
-use umi_core::{MiniSimulator, ProfileStore};
+use umi_core::{classify_default, detect_stride, MiniSimulator, ProfileStore};
 use umi_dbi::TraceId;
 use umi_ir::Pc;
 
@@ -29,6 +31,28 @@ fn build_profile() -> Vec<(TraceId, umi_core::AddressProfile)> {
         }
     }
     store.drain()
+}
+
+/// The three column shapes stride discovery meets, 256 rows each: a
+/// strided stream, a load alternating between two lines (the ±64 tie),
+/// and an irregular xorshift walk over 1 MB (no delta dominates).
+fn build_columns() -> [(&'static str, Vec<u64>); 3] {
+    let strided = (0..256u64).map(|i| 0x100_0000 + i * 64).collect();
+    let alternating = (0..256u64).map(|i| 0x100_0000 + (i % 2) * 64).collect();
+    let mut x = 0x1234_5678u64;
+    let irregular = (0..256)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            0x100_0000 + x % (1 << 20)
+        })
+        .collect();
+    [
+        ("strided", strided),
+        ("alternating", alternating),
+        ("irregular", irregular),
+    ]
 }
 
 /// Times `iters` calls of `f`, five samples, and reports the median in
@@ -59,6 +83,15 @@ fn main() {
         let mut sim = MiniSimulator::new(CacheConfig::pentium4_l2(), 2, Some(1_000_000));
         black_box(sim.analyze(&profiles, 0, |_| true));
     });
+
+    // A predicted load's stride, then a pattern vote: the two reads the
+    // analyzer takes of one column.
+    for (shape, column) in build_columns() {
+        bench(&format!("stride/{shape}_256"), 20_000, 256, || {
+            black_box(detect_stride(black_box(&column), 4, 0.5));
+            black_box(classify_default(black_box(&column)));
+        });
+    }
 
     let mut lru = SetAssocCache::new(CacheConfig::pentium4_l2());
     let mut addr = 0u64;

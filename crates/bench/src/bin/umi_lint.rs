@@ -11,9 +11,13 @@
 //!   delinquency labels and ranking, the dynamic prefetch plan, and the
 //!   native baseline of the plan A/B (the DBI forwards the exact demand
 //!   stream);
-//! * one [`static_prefetch_plan`] at the Pentium 4 L1/L2 geometry: its
-//!   composed report, whose sites carry the must-cache verdicts, and the
-//!   static plan;
+//! * one [`ProgramFacts`] per program, the original's and the
+//!   rewrite's: every static pass below runs over them, so each
+//!   program's CFG, loops, constants and reference classes are built
+//!   once;
+//! * one [`umi_prefetch::static_prefetch_plan`] at the Pentium 4 L1/L2
+//!   geometry: its composed report, whose sites carry the must-cache
+//!   verdicts, and the static plan;
 //! * one exact [`GroundTruth`] run, which both soundness checks read;
 //! * one rewrite of the program with the dynamic plan, which is linted,
 //!   plan-checked, audited and run in the A/B.
@@ -21,17 +25,19 @@
 //! Stdout has four sections, separated by single blank lines:
 //!
 //! 1. **Reference classes.** The static affine classifier
-//!    ([`classify_program`]) against UMI's per-operation dynamic pattern
-//!    vote ([`umi_core::PatternTally`]). Agreement maps
+//!    ([`umi_analyze::classify_program`]) against UMI's per-operation
+//!    dynamic pattern vote ([`umi_core::PatternTally`]). Agreement maps
 //!    `ConstantStride↔Strided`, `LoopInvariant↔Constant` and
 //!    `Irregular↔Irregular{Local,Wide}`; `stride=` additionally requires
 //!    the dominant dynamic stride to equal the static one.
-//! 2. **Lint gate.** IR lints ([`lint_program`]) on the original; the
-//!    static delinquency model ([`predict_program`], at the profiler's
+//! 2. **Lint gate.** IR lints ([`umi_analyze::lint_program`]) on the
+//!    original; the static delinquency model
+//!    ([`umi_analyze::predict_program`], at the profiler's
 //!    logical-cache geometry) scored against UMI's dynamic labels;
-//!    verifier, lints and plan checker ([`check_rewritten`]) on the
-//!    rewrite; every must-cache verdict of the original and the rewrite
-//!    checked by [`check_verdicts`] (prefetch hints must never earn
+//!    verifier, lints and plan checker
+//!    ([`umi_prefetch::check_rewritten`]) on the rewrite; every
+//!    must-cache verdict of the original and the rewrite checked by
+//!    [`check_verdicts`] (prefetch hints must never earn
 //!    residency credit); every composed interval of the original checked
 //!    by [`check_intervals`]. A contradicted verdict or an escaped
 //!    interval is an Error-severity finding.
@@ -55,8 +61,8 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Display;
 
 use umi_analyze::{
-    absint_program, classify_program, lint_program, predict_program, render_errors, verify,
-    CacheBehavior, CacheGeometry, Delinquency, Severity, StaticClass, UnclassifiedReason, Verdict,
+    render_errors, verify, CacheBehavior, CacheGeometry, Delinquency, ProgramFacts, Severity,
+    StaticClass, UnclassifiedReason, Verdict,
 };
 use umi_bench::audit::{check_intervals, check_verdicts, GroundTruth, IntervalAudit, VerdictCheck};
 use umi_bench::engine::{Cell, Harness};
@@ -66,7 +72,8 @@ use umi_hw::{Machine, Platform, PrefetchSetting};
 use umi_ir::{Pc, Program};
 use umi_prefetch::harness::{run_native, RunOutcome};
 use umi_prefetch::{
-    check_rewritten, inject_prefetches, static_prefetch_plan, PrefetchPlan, StaticPlanReport,
+    check_rewritten_with, inject_prefetches, static_prefetch_plan_with, PrefetchPlan,
+    StaticPlanReport,
 };
 use umi_workloads::{all32, Scale};
 
@@ -106,9 +113,11 @@ fn gate_workload(program: &Program, name: &str) -> (Workload, u64) {
         counters: machine_off.counters(),
         insns: report.vm_stats.insns,
     };
-    let static_plan = static_prefetch_plan(program, &l1, &l2, config.delinquency_floor);
+    let facts = ProgramFacts::new(program);
+    let static_plan = static_prefetch_plan_with(&facts, &l1, &l2, config.delinquency_floor);
     let dynamic_plan = PrefetchPlan::from_report(&report, DISTANCE_REFS);
     let rewritten = inject_prefetches(program, &dynamic_plan);
+    let rw_facts = ProgramFacts::new(&rewritten);
     let [truth, rw_truth] = [program, &rewritten].map(GroundTruth::pentium4);
 
     let sites: Vec<CacheBehavior> = static_plan
@@ -119,7 +128,7 @@ fn gate_workload(program: &Program, name: &str) -> (Workload, u64) {
         .collect();
     let verdicts = check_verdicts(&truth, &sites);
     let intervals = check_intervals(&truth, &static_plan.report);
-    let rw_verdicts = check_verdicts(&rw_truth, &absint_program(&rewritten, &l1, &l2));
+    let rw_verdicts = check_verdicts(&rw_truth, &rw_facts.absint(&l1, &l2));
 
     let (plan, ab_insns) = plan_ab(
         program,
@@ -130,12 +139,12 @@ fn gate_workload(program: &Program, name: &str) -> (Workload, u64) {
         &native_off,
     );
     let workload = Workload {
-        classes: class_row(program, &report),
+        classes: class_row(&facts, &report),
         lint: lint_gate(
-            program,
+            [&facts, &rw_facts],
             &config,
             &report,
-            (&dynamic_plan, &rewritten),
+            &dynamic_plan,
             [&verdicts, &rw_verdicts],
             &intervals,
         ),
@@ -196,16 +205,16 @@ fn class_agrees(class: StaticClass, pattern: RefPattern) -> bool {
     )
 }
 
-fn class_row(program: &Program, report: &UmiReport) -> ClassRow {
+fn class_row(facts: &ProgramFacts<'_>, report: &UmiReport) -> ClassRow {
     let tallies: HashMap<_, _> = report
         .patterns
         .iter()
         .filter_map(|(pc, t)| t.dominant().map(|p| (*pc, (p, t.dominant_stride()))))
         .collect();
     let mut row = ClassRow::default();
-    // classify_program returns refs sorted by pc, so every count below
-    // is accumulated in a deterministic order.
-    for r in classify_program(program).iter().filter(|r| !r.filtered) {
+    // The classified refs are sorted by pc, so every count below is
+    // accumulated in a deterministic order.
+    for r in facts.refs().iter().filter(|r| !r.filtered) {
         row.ops += 1;
         match r.class {
             StaticClass::ConstantStride(_) => row.stride += 1,
@@ -417,10 +426,10 @@ fn delinquency_agrees(s: Delinquency, d: DynamicDelinquency) -> bool {
 }
 
 fn lint_gate(
-    program: &Program,
+    [facts, rw_facts]: [&ProgramFacts<'_>; 2],
     config: &UmiConfig,
     report: &UmiReport,
-    (dynamic_plan, rewritten): (&PrefetchPlan, &Program),
+    dynamic_plan: &PrefetchPlan,
     [verdicts, rw_verdicts]: [&[VerdictCheck]; 2],
     intervals: &IntervalAudit,
 ) -> LintRow {
@@ -430,7 +439,7 @@ fn lint_gate(
     let geom = config.effective_sim_cache().geometry();
 
     let mut row = LintRow::default();
-    for lint in lint_program(program) {
+    for lint in facts.lint() {
         row.findings.push(Finding::diagnostic(
             "orig",
             lint.severity,
@@ -443,7 +452,8 @@ fn lint_gate(
 
     // Static verdict vs dynamic label, loads only (UMI's delinquency
     // machinery tracks loads; stores never enter the predicted set).
-    for p in predict_program(program, &geom, floor)
+    for p in facts
+        .predict(&geom, floor)
         .iter()
         .filter(|p| !p.sref.filtered && !p.sref.is_store)
     {
@@ -470,7 +480,7 @@ fn lint_gate(
 
     // The prefetch-rewritten variant: re-verify, re-lint, check the plan.
     row.hints = dynamic_plan.len();
-    if let Err(errs) = verify(rewritten) {
+    if let Err(errs) = verify(rw_facts.program()) {
         for e in &errs {
             row.findings.push(Finding {
                 variant: "rw",
@@ -482,7 +492,7 @@ fn lint_gate(
             });
         }
     }
-    for lint in lint_program(rewritten) {
+    for lint in rw_facts.lint() {
         row.findings.push(Finding::diagnostic(
             "rw",
             lint.severity,
@@ -492,7 +502,7 @@ fn lint_gate(
             &lint,
         ));
     }
-    for diag in check_rewritten(rewritten, &geom, &CacheGeometry::pentium4_l2(), floor) {
+    for diag in check_rewritten_with(rw_facts, &geom, &CacheGeometry::pentium4_l2(), floor) {
         row.findings.push(Finding::diagnostic(
             "rw",
             diag.severity(),

@@ -63,6 +63,7 @@
 #![warn(missing_docs)]
 
 mod cached;
+mod columns;
 mod config;
 mod delinquency;
 mod instrumentor;

@@ -75,7 +75,9 @@ pub struct MiniSimulator {
     /// with only a small fraction of references profiled, first touches
     /// are overwhelmingly sampling artifacts, "the high number of
     /// compulsory misses ... that would otherwise arise" (§5).
-    /// Open-addressing set: this insert runs once per simulated reference.
+    /// Inserted on logical-cache misses only: a line can hit only after
+    /// the miss that filled it, and a flush clears the cache and this set
+    /// together, so a hit line is always already here.
     seen_lines: umi_ir::fastmap::U64Set,
     exclude_compulsory: bool,
     warmup_rows: usize,
@@ -121,7 +123,16 @@ impl MiniSimulator {
 
     /// Enables or disables compulsory-miss exclusion (on by default; the
     /// `ablations` bench measures the difference).
+    ///
+    /// Set it before the first [`analyze`](Self::analyze): `seen_lines`
+    /// records only the misses simulated while exclusion is on, so
+    /// turning it on mid-run would count a resident line's next hit as
+    /// a first touch. Debug builds assert this.
     pub fn set_exclude_compulsory(&mut self, on: bool) {
+        debug_assert!(
+            self.invocations == 0 || on == self.exclude_compulsory,
+            "exclude_compulsory changed after the first analyze"
+        );
         self.exclude_compulsory = on;
     }
 
@@ -188,8 +199,8 @@ impl MiniSimulator {
         // and the L1 accounting filter (nothing intervened to evict them,
         // and restamping an already-MRU line before the set is touched
         // again leaves every LRU comparison unchanged), so the accounting
-        // below drops it via `l1_hit` and its `seen_lines` insert is a
-        // no-op. Such tails — ubiquitous in strided profiles, where an op
+        // below drops it via `l1_hit`, and a hit inserts nothing into
+        // `seen_lines`. Such tails — ubiquitous in strided profiles, where an op
         // walks a cache line across consecutive rows — skip all three
         // structure probes. State carries across rows and profiles, so
         // the memo does too.
@@ -214,6 +225,7 @@ impl MiniSimulator {
                     let hit = self.cache.access(r.addr).hit;
                     let l1_hit = self.l1_filter.access(r.addr).hit;
                     let first_touch = self.exclude_compulsory
+                        && !hit
                         && self
                             .seen_lines
                             .insert(self.cache.config().line_addr(r.addr));
@@ -394,6 +406,55 @@ mod tests {
         s.analyze(&[prof], 0, |_| true);
         assert_eq!(s.overall().accesses, 256, "only the reuse touches count");
         assert_eq!(s.overall().misses, 0, "reuse of resident lines hits");
+    }
+
+    #[test]
+    fn a_line_retouched_after_a_flush_is_a_first_touch_again() {
+        // Compulsory exclusion on (the default), a one-line accounting
+        // filter so every reference past the filter counts.
+        let mut s = MiniSimulator::with_l1_filter(
+            CacheConfig::pentium4_l2(),
+            CacheConfig::new(1, 1, 64),
+            0,
+            Some(1_000),
+        );
+        let mk = |addrs: &[u64]| {
+            let mut store = ProfileStore::new(1 << 20, 16);
+            let t = TraceId(0);
+            store.register(t, vec![Pc(0x100)]);
+            for &a in addrs {
+                store.begin_row(t);
+                store.record(t, 0, a, false);
+            }
+            store.drain().pop().expect("profile")
+        };
+        // First touches of two lines, then a reuse of the first: only
+        // the reuse counts, and it hits.
+        s.analyze(&[mk(&[0x9000, 0xa000, 0x9000])], 0, |_| true);
+        assert_eq!(s.overall().accesses, 1);
+        assert_eq!(s.overall().misses, 0);
+        // Within the flush window the line is still known: counted, hit.
+        s.analyze(&[mk(&[0xa000])], 10, |_| true);
+        assert_eq!(s.overall().accesses, 2);
+        // After the flush the same line is a first touch again — missed
+        // and uncounted — and its reuse counts as a hit.
+        let r = s.analyze(&[mk(&[0x9000, 0xa000, 0x9000])], 5_000, |_| true);
+        assert!(r.flushed);
+        assert_eq!(s.overall().accesses, 3, "re-touched lines counted as reuse");
+        assert_eq!(s.overall().misses, 0);
+        assert_eq!(
+            r.per_trace[0].ops[0].misses, 2,
+            "both lines missed after the flush"
+        );
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "exclude_compulsory changed")]
+    fn exclusion_cannot_change_after_the_first_analyze() {
+        let mut s = MiniSimulator::new(CacheConfig::pentium4_l2(), 0, None);
+        s.analyze(&[streaming_profile(1)], 0, |_| true);
+        s.set_exclude_compulsory(false);
     }
 
     #[test]

@@ -7,8 +7,15 @@
 //! address-profile columns the delinquency analysis uses.
 
 use crate::profiles::AddressProfile;
-use crate::stride::detect_stride;
+use crate::stride::StrideVote;
 use std::collections::{BTreeMap, HashSet};
+
+/// Fewest deltas a [`RefPattern::Strided`] column has.
+pub(crate) const STRIDED_MIN_SAMPLES: usize = 3;
+/// Share of its deltas a [`RefPattern::Strided`] column's stride holds.
+pub(crate) const STRIDED_MIN_CONFIDENCE: f64 = 0.6;
+/// [`classify_default`]'s locality bound: the Pentium 4 L2 capacity.
+pub(crate) const DEFAULT_LOCAL_FOOTPRINT: u64 = 512 << 10;
 
 /// The predominant reference pattern of one instruction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -30,17 +37,30 @@ pub enum RefPattern {
 /// still count as local; the default used by [`classify_default`] is the
 /// host L2 capacity.
 pub fn classify(column: &[u64], local_footprint: u64) -> Option<RefPattern> {
+    classify_voted(column, &StrideVote::majority(column), local_footprint)
+}
+
+/// [`classify`] of a column whose delta vote is already taken.
+pub(crate) fn classify_voted(
+    column: &[u64],
+    vote: &StrideVote,
+    local_footprint: u64,
+) -> Option<RefPattern> {
     if column.len() < 4 {
         return None;
     }
-    if column.windows(2).all(|w| w[0] == w[1]) {
+    if vote.is_constant() {
         return Some(RefPattern::Constant);
     }
-    if detect_stride(column, 3, 0.6).is_some() {
+    if vote
+        .stride(STRIDED_MIN_SAMPLES, STRIDED_MIN_CONFIDENCE)
+        .is_some()
+    {
         return Some(RefPattern::Strided);
     }
-    let lo = *column.iter().min().expect("non-empty");
-    let hi = *column.iter().max().expect("non-empty");
+    let (lo, hi) = column
+        .iter()
+        .fold((u64::MAX, 0), |(lo, hi), &a| (lo.min(a), hi.max(a)));
     if hi - lo <= local_footprint {
         Some(RefPattern::IrregularLocal)
     } else {
@@ -50,7 +70,7 @@ pub fn classify(column: &[u64], local_footprint: u64) -> Option<RefPattern> {
 
 /// [`classify`] with the Pentium 4 L2 capacity as the locality bound.
 pub fn classify_default(column: &[u64]) -> Option<RefPattern> {
-    classify(column, 512 << 10)
+    classify(column, DEFAULT_LOCAL_FOOTPRINT)
 }
 
 /// Accumulated dynamic classification of one profiled instruction across
@@ -168,6 +188,30 @@ where
         lines: lines.len(),
         bytes: lines.len() as u64 * 64,
         refs,
+    }
+}
+
+/// [`classify`] as the analyzer classified columns before
+/// [`classify_voted`]: every step rescans the column and the stride
+/// comes from the counting vote. Kept as the differential tests' oracle.
+#[cfg(test)]
+pub(crate) fn classify_counting(column: &[u64], local_footprint: u64) -> Option<RefPattern> {
+    use crate::stride::detect_stride_counting;
+    if column.len() < 4 {
+        return None;
+    }
+    if column.windows(2).all(|w| w[0] == w[1]) {
+        return Some(RefPattern::Constant);
+    }
+    if detect_stride_counting(column, STRIDED_MIN_SAMPLES, STRIDED_MIN_CONFIDENCE).is_some() {
+        return Some(RefPattern::Strided);
+    }
+    let lo = *column.iter().min().expect("non-empty");
+    let hi = *column.iter().max().expect("non-empty");
+    if hi - lo <= local_footprint {
+        Some(RefPattern::IrregularLocal)
+    } else {
+        Some(RefPattern::IrregularWide)
     }
 }
 

@@ -89,6 +89,11 @@ impl AddressProfile {
         })
     }
 
+    /// Every recorded reference, rows back to back in row order.
+    pub(crate) fn refs(&self) -> &[ProfiledRef] {
+        &self.refs
+    }
+
     /// The address sequence recorded for column `op` (one entry per row
     /// that executed the operation) — the per-instruction view used for
     /// stride discovery.

@@ -1,15 +1,16 @@
 //! The UMI runtime: region selection, instrumentation, profiling, and
 //! analysis over a live DBI execution.
 
+use crate::columns::ColumnScan;
 use crate::config::{SamplingMode, UmiConfig};
 use crate::delinquency::DelinquencyTracker;
 use crate::instrumentor::{Instrumentor, TraceInstrumentation, NO_COL};
 use crate::minisim::MiniSimulator;
-use crate::patterns::{classify_default, PatternTally, RefPattern};
+use crate::patterns::PatternTally;
 use crate::profiles::ProfileStore;
 use crate::report::UmiReport;
 use crate::selector::RegionSelector;
-use crate::stride::{detect_stride, StrideInfo};
+use crate::stride::StrideInfo;
 use std::collections::{HashMap, HashSet};
 use umi_dbi::{CostModel, DbiRuntime, TraceId};
 use umi_ir::{MemAccess, Pc, Program, CODE_BASE};
@@ -62,6 +63,9 @@ pub struct UmiRuntime<'p, X: BlockSource<'p> = Vm<'p>> {
     /// 4-byte-spaced from `CODE_BASE`, and the analyzer queries this once
     /// per profiled operation.
     is_load_table: Vec<u8>,
+    /// Column buffers for stride discovery, reused by every analyzer
+    /// invocation.
+    columns: ColumnScan,
     strides: HashMap<Pc, StrideInfo>,
     /// Per-operation dynamic pattern votes; only filled when
     /// `config.classify_patterns` is set.
@@ -142,6 +146,7 @@ impl<'p, X: BlockSource<'p>> UmiRuntime<'p, X> {
             barren: Vec::new(),
             cooldown: Vec::new(),
             is_load_table,
+            columns: ColumnScan::default(),
             strides: HashMap::new(),
             patterns: HashMap::new(),
             profiles_collected: 0,
@@ -400,30 +405,13 @@ impl<'p, X: BlockSource<'p>> UmiRuntime<'p, X> {
         // Stride discovery for every predicted load present in the drained
         // profiles (the prefetcher's input), plus — when enabled — a
         // reference-pattern vote per column for *every* profiled op.
-        for (_, profile) in &drained {
-            for (col, pc) in profile.ops.iter().enumerate() {
-                let predicted = self.tracker.predicted().contains(pc);
-                if !predicted && !self.config.classify_patterns {
-                    continue;
-                }
-                let column = profile.column(col as u16);
-                if predicted {
-                    if let Some(s) = detect_stride(&column, 4, 0.5) {
-                        self.strides.insert(*pc, s);
-                    }
-                }
-                if self.config.classify_patterns {
-                    if let Some(p) = classify_default(&column) {
-                        let stride = if p == RefPattern::Strided {
-                            detect_stride(&column, 3, 0.6).map(|s| s.stride)
-                        } else {
-                            None
-                        };
-                        self.patterns.entry(*pc).or_default().record(p, stride);
-                    }
-                }
-            }
-        }
+        self.columns.run(
+            &drained,
+            self.tracker.predicted(),
+            self.config.classify_patterns,
+            &mut self.strides,
+            &mut self.patterns,
+        );
 
         // Replace instrumented fragments `T` with their clean clones `T_c`
         // (§3). With sampling, profiling stays off until the selector
@@ -646,6 +634,41 @@ mod tests {
             report.analyzer_invocations > 0 && shadow.overall().accesses > 0,
             "the shadow must actually have simulated something"
         );
+    }
+
+    /// Every suite workload at test scale, pattern classification off
+    /// and on: the one-walk column scan gives the same report as the
+    /// per-column oracle it replaced.
+    #[test]
+    fn column_scan_matches_per_column_oracle_on_the_suite() {
+        for spec in umi_workloads::all32() {
+            let p = spec.build(umi_workloads::Scale::Test);
+            for classify in [false, true] {
+                let mut cfg = UmiConfig::no_sampling();
+                cfg.classify_patterns = classify;
+                let [scan, oracle] = [false, true].map(|oracle| {
+                    let mut umi = UmiRuntime::new(&p, cfg.clone());
+                    umi.columns.oracle = oracle;
+                    umi.run(&mut NullSink, u64::MAX)
+                });
+                let what = format!("{} classify={classify}", spec.name);
+                assert!(scan.analyzer_invocations > 0, "{what}: nothing analyzed");
+                assert_eq!(scan.strides, oracle.strides, "{what}");
+                assert_eq!(scan.patterns, oracle.patterns, "{what}");
+                assert_eq!(scan.predicted, oracle.predicted, "{what}");
+                let per_pc =
+                    |r: &UmiReport| r.per_pc.iter().map(|(pc, s)| (pc, *s)).collect::<Vec<_>>();
+                assert_eq!(per_pc(&scan), per_pc(&oracle), "{what}");
+                assert_eq!(
+                    scan.analyzer_invocations, oracle.analyzer_invocations,
+                    "{what}"
+                );
+                assert_eq!(
+                    scan.umi_overhead_cycles, oracle.umi_overhead_cycles,
+                    "{what}"
+                );
+            }
+        }
     }
 
     #[test]

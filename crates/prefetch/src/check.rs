@@ -157,7 +157,18 @@ pub fn check_rewritten(
     l2: &CacheGeometry,
     hot_miss_floor: f64,
 ) -> Vec<PlanDiagnostic> {
-    let facts = ProgramFacts::new(program);
+    check_rewritten_with(&ProgramFacts::new(program), geom, l2, hot_miss_floor)
+}
+
+/// [`check_rewritten`] over facts the caller already holds, so the
+/// checker shares them with its other passes over the same program.
+pub fn check_rewritten_with(
+    facts: &ProgramFacts<'_>,
+    geom: &CacheGeometry,
+    l2: &CacheGeometry,
+    hot_miss_floor: f64,
+) -> Vec<PlanDiagnostic> {
+    let program = facts.program();
     let rows = OnceCell::new();
     let absint = || rows.get_or_init(|| facts.absint(geom, l2));
     // Every hint reads a verdict, so a program with hints runs the must

@@ -28,7 +28,9 @@ mod plan;
 mod rewrite;
 mod staticplan;
 
-pub use check::{check_rewritten, CheckKind, PlanDiagnostic};
+pub use check::{check_rewritten, check_rewritten_with, CheckKind, PlanDiagnostic};
 pub use plan::{PlanEntry, PrefetchPlan};
 pub use rewrite::inject_prefetches;
-pub use staticplan::{static_prefetch_plan, StaticPlanEntry, StaticPlanReport};
+pub use staticplan::{
+    static_prefetch_plan, static_prefetch_plan_with, StaticPlanEntry, StaticPlanReport,
+};

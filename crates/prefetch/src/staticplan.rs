@@ -86,7 +86,18 @@ pub fn static_prefetch_plan(
     l2: &CacheGeometry,
     hot_miss_floor: f64,
 ) -> StaticPlanReport {
-    let facts = ProgramFacts::new(program);
+    static_prefetch_plan_with(&ProgramFacts::new(program), l1, l2, hot_miss_floor)
+}
+
+/// [`static_prefetch_plan`] over facts the caller already holds, so the
+/// planner shares them with its other passes over the same program.
+pub fn static_prefetch_plan_with(
+    facts: &ProgramFacts<'_>,
+    l1: &CacheGeometry,
+    l2: &CacheGeometry,
+    hot_miss_floor: f64,
+) -> StaticPlanReport {
+    let program = facts.program();
     let report = facts.compose(l1, l2, hot_miss_floor);
 
     // Stride and block length per load pc: every load site at the pc
