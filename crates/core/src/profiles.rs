@@ -174,13 +174,6 @@ impl ProfileStore {
         self.slot(trace).is_some()
     }
 
-    /// Removes a trace's profile (profiling switched off), returning it.
-    pub fn unregister(&mut self, trace: TraceId) -> Option<AddressProfile> {
-        self.profiles
-            .get_mut(trace.0 as usize)
-            .and_then(Option::take)
-    }
-
     /// Rows allocated since the last drain.
     pub fn trace_profile_usage(&self) -> usize {
         self.total_rows
@@ -228,18 +221,17 @@ impl ProfileStore {
         self.profiles.iter().flatten().any(|p| !p.is_empty())
     }
 
-    /// Takes every non-empty profile for analysis, leaving fresh empty
-    /// profiles in place (same columns), and resets the trace-profile
-    /// usage. Returns `(trace, profile)` pairs sorted by trace id (the
-    /// natural order of the id-indexed store).
+    /// Takes every non-empty profile for analysis and resets the
+    /// trace-profile usage. Each drained trace is left unregistered
+    /// (profiling for it is off until the next [`register`](Self::register));
+    /// traces whose profiles were empty stay registered. Returns
+    /// `(trace, profile)` pairs sorted by trace id (the natural order of
+    /// the id-indexed store).
     pub fn drain(&mut self) -> Vec<(TraceId, AddressProfile)> {
         let mut out = Vec::new();
         for (i, slot) in self.profiles.iter_mut().enumerate() {
-            if let Some(p) = slot {
-                if !p.is_empty() {
-                    let fresh = AddressProfile::new(p.ops.clone(), self.max_rows);
-                    out.push((TraceId(i as u32), std::mem::replace(p, fresh)));
-                }
+            if slot.as_ref().is_some_and(|p| !p.is_empty()) {
+                out.extend(slot.take().map(|p| (TraceId(i as u32), p)));
             }
         }
         self.total_rows = 0;
@@ -303,18 +295,28 @@ mod tests {
     }
 
     #[test]
-    fn drain_resets_and_keeps_registration() {
+    fn drain_resets_and_unregisters_drained_traces() {
         let mut s = store();
-        let t = TraceId(2);
+        let (t, idle) = (TraceId(2), TraceId(3));
         s.register(t, vec![Pc(1)]);
+        s.register(idle, vec![Pc(2)]);
         s.begin_row(t);
         s.record(t, 0, 0xabc, false);
         let drained = s.drain();
         assert_eq!(drained.len(), 1);
+        assert_eq!(drained[0].0, t);
         assert_eq!(s.trace_profile_usage(), 0);
-        assert!(s.is_registered(t));
-        // Fresh profile is empty; draining again yields nothing.
+        // The drained trace is handed over; the empty one stays.
+        assert!(!s.is_registered(t));
+        assert!(s.is_registered(idle));
+        // Recording into an unregistered trace is a silent no-op.
+        s.record(t, 0, 0x1, false);
+        assert!(!s.drain_would_yield());
         assert!(s.drain().is_empty());
+        // Re-registering starts a fresh, empty profile.
+        s.register(t, vec![Pc(1)]);
+        s.begin_row(t);
+        assert_eq!(s.drain()[0].1.row_count(), 1);
     }
 
     #[test]
@@ -327,18 +329,5 @@ mod tests {
             s.begin_row(t);
         }
         s.begin_row(t);
-    }
-
-    #[test]
-    fn unregister_stops_profiling() {
-        let mut s = store();
-        let t = TraceId(0);
-        s.register(t, vec![Pc(1)]);
-        s.begin_row(t);
-        let p = s.unregister(t).expect("was registered");
-        assert_eq!(p.row_count(), 1);
-        assert!(!s.is_registered(t));
-        // Recording into an unregistered trace is a silent no-op.
-        s.record(t, 0, 0x1, false);
     }
 }

@@ -417,8 +417,8 @@ impl<'p, X: BlockSource<'p>> UmiRuntime<'p, X> {
         // (§3). With sampling, profiling stays off until the selector
         // re-selects the trace; without sampling, bursty profiling brings
         // the trace back after `burst_gap_execs` executions.
+        // `drain` already unregistered every drained trace.
         for (tid, _) in &drained {
-            self.store.unregister(*tid);
             set_flag(&mut self.active, *tid, false);
             if self.config.sampling == SamplingMode::Off {
                 let gap = self.jittered(self.config.burst_gap_execs.max(1));

@@ -13,7 +13,7 @@
 use crate::codec::{Fnv, FNV_OFFSET};
 use crate::trace::{ExecTrace, TraceError, TraceKey, FORMAT_VERSION};
 use std::collections::HashMap;
-use std::fmt::Write as _;
+use std::hash::{Hash, Hasher};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 use umi_ir::Program;
@@ -36,6 +36,9 @@ fn memory() -> &'static Mutex<HashMap<TraceKey, Arc<ExecTrace>>> {
     MEM.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
+/// The two halves of a [`TraceKey`], fed the same content through
+/// [`Hasher`] so the IR's derived `Hash` impls drive it directly.
+/// Integer writes absorb one word each, whatever their width.
 struct KeyHasher {
     lo: Fnv,
     hi: Fnv,
@@ -49,52 +52,78 @@ impl KeyHasher {
         };
         // Format version participates in the key: a codec change makes
         // every old entry an automatic miss.
-        h.write_u64(u64::from(FORMAT_VERSION));
+        h.write_u32(FORMAT_VERSION);
         h
     }
 
+    fn key(&self) -> TraceKey {
+        TraceKey(u128::from(self.lo.finish()) | (u128::from(self.hi.finish()) << 64))
+    }
+}
+
+impl Hasher for KeyHasher {
     fn write(&mut self, bytes: &[u8]) {
         self.lo.write(bytes);
         self.hi.write(bytes);
     }
 
+    #[inline]
     fn write_u64(&mut self, v: u64) {
         self.lo.write_u64(v);
         self.hi.write_u64(v);
     }
 
-    fn finish(&self) -> TraceKey {
-        TraceKey(u128::from(self.lo.finish()) | (u128::from(self.hi.finish()) << 64))
+    fn write_u8(&mut self, v: u8) {
+        self.write_u64(u64::from(v));
+    }
+
+    fn write_u16(&mut self, v: u16) {
+        self.write_u64(u64::from(v));
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(u64::from(v));
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.lo.finish()
     }
 }
 
 /// Content key for a program's native execution stream: hashes the
-/// program name, function table, every block's code, and the raw data
-/// segments (workload scale is already baked into all of these), plus
-/// the trace format version.
+/// program name, entry, function table, every block's code, and the
+/// raw data segments (workload scale is already baked into all of
+/// these), plus the trace format version. Code goes through the IR's
+/// derived `Hash`, so every instruction field is covered.
 pub fn program_key(program: &Program) -> TraceKey {
     let mut h = KeyHasher::new();
-    h.write(program.name.as_bytes());
-    h.write_u64(u64::from(program.entry.0));
-    let mut text = String::new();
+    program.name.hash(&mut h);
+    program.entry.hash(&mut h);
+    // Each table's length bounds its stream, so content cannot shift
+    // from one table into the next.
+    h.write_usize(program.funcs.len());
     for f in &program.funcs {
-        text.clear();
-        let _ = write!(text, "{}:{}:{}", f.id.0, f.name, f.entry.0);
-        h.write(text.as_bytes());
+        f.id.hash(&mut h);
+        f.name.hash(&mut h);
+        f.entry.hash(&mut h);
     }
+    h.write_usize(program.blocks.len());
     for b in &program.blocks {
-        // Code is small (thousands of instructions); its Debug
-        // rendering is a faithful, cheap serialization.
-        text.clear();
-        let _ = write!(text, "{b:?}");
-        h.write(text.as_bytes());
+        b.id.hash(&mut h);
+        b.addr.hash(&mut h);
+        b.insns.hash(&mut h);
+        b.terminator.hash(&mut h);
     }
+    h.write_usize(program.data.len());
     for seg in &program.data {
-        h.write_u64(seg.addr);
-        h.write_u64(seg.bytes.len() as u64);
-        h.write(&seg.bytes);
+        seg.addr.hash(&mut h);
+        seg.bytes.hash(&mut h);
     }
-    h.finish()
+    h.key()
 }
 
 /// Content key for a raw (non-program) access stream, e.g. a synthetic
@@ -103,7 +132,7 @@ pub fn program_key(program: &Program) -> TraceKey {
 pub fn context_key(context: &str) -> TraceKey {
     let mut h = KeyHasher::new();
     h.write(context.as_bytes());
-    h.finish()
+    h.key()
 }
 
 /// The on-disk cache directory, if `UMI_TRACE_DIR` is set (non-empty).

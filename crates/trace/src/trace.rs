@@ -1,14 +1,14 @@
 //! The trace container: an executed block/access stream in its compact
 //! in-memory form, plus the checksummed on-disk serialization.
 //!
-//! ## Format (version 2)
+//! ## Format (version 3)
 //!
 //! A trace file is a 48-byte header followed by a varint payload:
 //!
 //! ```text
 //! header   := magic "UMITRACE" (8B) | version u32 LE | reserved u32 (0)
 //!           | key_lo u64 LE | key_hi u64 LE
-//!           | payload_len u64 LE | checksum u64 LE   (FNV-1a 64 of payload)
+//!           | payload_len u64 LE | checksum u64 LE   (codec::fnv64 of payload)
 //! payload  := summary dict events
 //! summary  := insns loads stores blocks heap_allocated accesses records   (varints)
 //! dict     := count { block_id slot_count { pc_delta kind width }* }*
@@ -46,7 +46,9 @@ use umi_vm::{AccessSink, VmStats};
 
 /// Trace format version; bumped on any wire-format change so stale
 /// on-disk entries are rejected (and re-captured) rather than misread.
-pub const FORMAT_VERSION: u32 = 2;
+/// Version 3 moved the payload checksum to the word-at-a-time
+/// [`codec::fnv64`].
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Magic bytes opening every trace file.
 pub const MAGIC: [u8; 8] = *b"UMITRACE";
@@ -60,9 +62,9 @@ pub const MAX_PERIOD: usize = 16;
 const HEADER_LEN: usize = 48;
 
 /// Content key identifying what a trace is a trace *of* (see
-/// [`crate::store::program_key`]). Two independent FNV-1a 64 passes over
-/// the program content; collisions are vanishingly unlikely at our
-/// scale (tens of workloads).
+/// [`crate::store::program_key`]). Two independent word-at-a-time FNV
+/// hashes of the program content; collisions are vanishingly unlikely
+/// at our scale (tens of workloads).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TraceKey(pub u128);
 

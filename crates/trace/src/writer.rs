@@ -257,11 +257,13 @@ impl TraceWriter {
             codec::write_varint(&mut self.events, self.cycle.len() as u64);
             codec::write_varint(&mut self.events, runs);
         }
-        let partial: Vec<u32> = self.cycle.drain(..).take(self.cycle_pos).collect();
-        self.cycle_pos = 0;
-        for d in partial {
+        let mut cycle = std::mem::take(&mut self.cycle);
+        for &d in &cycle[..self.cycle_pos] {
             self.encode_repeat(d);
         }
+        self.cycle_pos = 0;
+        cycle.clear();
+        self.cycle = cycle;
     }
 
     /// Dynamic accesses recorded so far.

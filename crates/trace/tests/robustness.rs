@@ -170,17 +170,22 @@ fn bit_flips_anywhere_are_typed_errors() {
 fn version_skew_is_rejected_with_both_versions() {
     let dir = scratch("skew");
     let (key, path) = make_entry(&dir, "robustness:skew");
-    let mut bytes = std::fs::read(&path).unwrap();
+    let original = std::fs::read(&path).unwrap();
     // Header layout: magic (8) then version (u32 LE).
-    assert_eq!(&bytes[..8], MAGIC);
-    bytes[8] = 0x7f;
-    std::fs::write(&path, &bytes).unwrap();
-    match store::load_from_dir(&dir, key) {
-        Err(TraceError::VersionSkew { found, expected }) => {
-            assert_eq!(found, 0x7f);
-            assert_eq!(expected, umi_trace::FORMAT_VERSION);
+    assert_eq!(&original[..8], MAGIC);
+    // An unknown version, and the previous one: a disk entry written
+    // before the last format bump.
+    for version in [0x7f, umi_trace::FORMAT_VERSION - 1] {
+        let mut bytes = original.clone();
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        match store::load_from_dir(&dir, key) {
+            Err(TraceError::VersionSkew { found, expected }) => {
+                assert_eq!(found, version);
+                assert_eq!(expected, umi_trace::FORMAT_VERSION);
+            }
+            other => panic!("expected VersionSkew for version {version}, got {other:?}"),
         }
-        other => panic!("expected VersionSkew, got {other:?}"),
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

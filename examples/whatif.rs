@@ -53,7 +53,11 @@ fn main() {
                 if let Some(plan) = plans.get(&tid) {
                     if info.entered_trace {
                         if store.trigger(tid).is_some() {
+                            // Keep profiling every drained trace.
                             drained = store.drain();
+                            for (t, p) in &drained {
+                                store.register(*t, p.ops.clone());
+                            }
                         }
                         if store.is_registered(tid) && store.trigger(tid).is_none() {
                             store.begin_row(tid);

@@ -30,7 +30,12 @@ fn collect_profiles(name: &str) -> Vec<(umi::dbi::TraceId, umi::core::AddressPro
                 if let Some(plan) = plans.get(&tid) {
                     if info.entered_trace {
                         if store.trigger(tid).is_some() {
-                            out.extend(store.drain());
+                            // Always-on: keep profiling every drained trace.
+                            let drained = store.drain();
+                            for (t, p) in &drained {
+                                store.register(*t, p.ops.clone());
+                            }
+                            out.extend(drained);
                         }
                         store.begin_row(tid);
                     }

@@ -205,6 +205,8 @@ fn profile_store_capacity() {
                 assert_eq!(drained.len(), 1);
                 assert!(drained[0].1.row_count() <= cap);
                 assert_eq!(s.trace_profile_usage(), 0);
+                assert!(!s.is_registered(t));
+                s.register(t, vec![Pc(1)]);
             }
             s.begin_row(t);
             began += 1;
